@@ -163,7 +163,7 @@ func startingPoint(b *testing.B, name string) *mig.MIG {
 // benchVariant runs one functional-hashing variant on one benchmark,
 // driven through the engine as the production flow does. One single-pass
 // pipeline iteration is a bare rewrite.Run plus the engine's fixed
-// per-run overhead (a fresh NPN cut-cache and pipeline bookkeeping), so
+// per-run overhead (a fresh 5-input store and pipeline bookkeeping), so
 // these numbers are not directly comparable with pre-engine baselines.
 func benchVariant(b *testing.B, name string, opt rewrite.Options) {
 	start := startingPoint(b, name)
@@ -225,7 +225,7 @@ func BenchmarkTableIV_Mapping(b *testing.B) {
 
 // BenchmarkEngine_ResynSine runs the composite resyn script to
 // convergence on the Sine benchmark: the engine's iterated-pipeline
-// overhead and the NPN cut-cache in one number.
+// overhead and every NPN lookup in one number.
 func BenchmarkEngine_ResynSine(b *testing.B) {
 	start := startingPoint(b, "Sine")
 	p, err := engine.Preset("resyn")
@@ -239,8 +239,8 @@ func BenchmarkEngine_ResynSine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.CacheHits == 0 {
-			b.Fatalf("resyn recorded no cache hits: %v", st)
+		if st.SizeAfter >= st.SizeBefore {
+			b.Fatalf("resyn saved no gates: %v", st)
 		}
 	}
 }
@@ -274,23 +274,9 @@ func benchBatch(b *testing.B, workers int) {
 func BenchmarkEngine_Batch1(b *testing.B)      { benchBatch(b, 1) }
 func BenchmarkEngine_BatchNumCPU(b *testing.B) { benchBatch(b, runtime.NumCPU()) }
 
-// BenchmarkEngine_NPNCacheHit vs NPNLookupUncached isolate what one
-// cut-cache hit saves over a fresh canonicalization + database lookup.
-func BenchmarkEngine_NPNCacheHit(b *testing.B) {
-	d := db.MustLoad()
-	c := db.NewCache()
-	for v := 0; v < 1<<16; v++ {
-		d.LookupCached(tt.New(4, uint64(v)), c)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok, hit := d.LookupCached(tt.New(4, uint64(i&0xFFFF)), c); !ok || !hit {
-			b.Fatal("warm cache missed")
-		}
-	}
-}
-
-func BenchmarkEngine_NPNLookupUncached(b *testing.B) {
+// BenchmarkEngine_NPNLookup measures the per-cut cost of functional
+// hashing at K = 4: one dense NPN canonization plus one class-index read.
+func BenchmarkEngine_NPNLookup(b *testing.B) {
 	d := db.MustLoad()
 	for i := 0; i < b.N; i++ {
 		if _, _, ok := d.Lookup(tt.New(4, uint64(i&0xFFFF))); !ok {

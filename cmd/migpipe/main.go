@@ -8,7 +8,6 @@
 //	migpipe -script size -workers 1 -json     # serial, machine-readable stats
 //	migpipe -script resyn -benchmarks Sine,Max -verify sat
 //	migpipe -script resyn -verify sim -json       # differential harness, machine-readable
-//	migpipe -script resyn -cachefile npn.cache   # warm-start reruns from disk
 //	migpipe -script BF -in circuit.bench -split   # one job per output cone
 //	migpipe -script resyn -in big.bench -workers 8  # one graph: FFR-parallel rewriting
 //	migpipe -script resyn -k 5                # same script, 5-input functional hashing
@@ -32,18 +31,15 @@
 // the harness statistics in its "verify" block (the sim-verify CI job
 // uploads them as BENCH_sim.json).
 //
-// With -cachefile the jobs share one NPN cut-cache that is warm-started
-// from the snapshot at that path (when it exists) and saved back after
-// the run, so reruns skip the canonicalizations of previous processes;
-// the optimized graphs are bit-identical warm or cold.
-//
 // With -k 5 (or a *5 script such as resyn5) functional hashing extends
 // to five-leaf cuts: their NPN classes are not precomputed but learned —
 // synthesized on first contact by the SAT engine under the budget of
-// -synth-conflicts/-synth-budget, memoized by semi-canonical class, and
-// persisted through -cachefile alongside the 4-input cut-cache, so a
-// warm rerun re-synthesizes nothing. -k 5 maps each preset to its
-// 5-input variant (resyn→resyn5, size→size5, TF→TF5, …).
+// -synth-conflicts/-synth-budget and memoized by semi-canonical class.
+// -cachefile persists the learned classes: the store is warm-started
+// from the snapshot at that path (when it exists) and saved back after
+// the run, so a warm rerun re-synthesizes nothing and produces
+// bit-identical graphs. -k 5 maps each preset to its 5-input variant
+// (resyn→resyn5, size→size5, TF→TF5, …).
 //
 // With -trace the whole run is recorded as Chrome trace-event JSON: one
 // span per job, pipeline, iteration and pass, down to the rewrite phases
@@ -54,7 +50,7 @@
 // With -url the jobs are not optimized locally: they are serialized to
 // BENCH and submitted to a running migserve at that base URL via
 // POST /v1/optimize/batch, and the reported statistics are the server's.
-// The engine-local -sharedcache/-cachefile/-synth-* flags are ignored
+// The engine-local -cachefile/-synth-* flags are ignored
 // remotely (with a warning), and the reported worker count is the
 // requested value — the server clamps the parallelism it actually
 // grants. Transient failures — connection errors, 503s, other 5xx
@@ -112,12 +108,6 @@ type jsonReport struct {
 	Workers int           `json:"workers"`
 	Jobs    int           `json:"jobs"`
 	Elapsed time.Duration `json:"elapsed_ns"`
-	// CacheHits/CacheMisses aggregate the NPN cut-cache counters over
-	// every job; CacheHitRate is their ratio. The CI warm-start smoke
-	// compares these across runs of the same -cachefile.
-	CacheHits    int     `json:"cache_hits"`
-	CacheMisses  int     `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
 	// The on-demand 5-input store of this run (all zero for K = 4
 	// scripts): classes known at exit, exact-synthesis ladders run, and
 	// ladders that blew their budget. The exact5-smoke CI job asserts
@@ -190,8 +180,7 @@ func main() {
 		in         = flag.String("in", "", "optimize one MIG file instead of the benchmark suite")
 		split      = flag.Bool("split", false, "with -in: one batch job per output cone")
 		prepare    = flag.Bool("prepare", true, "depth-optimize benchmark starting points first (Sec. V-C)")
-		shared     = flag.Bool("sharedcache", false, "share one NPN cut-cache across all workers")
-		cacheFile  = flag.String("cachefile", "", "warm-start the shared NPN cache from this snapshot and save it back after the run")
+		cacheFile  = flag.String("cachefile", "", "warm-start the learned 5-input store from this snapshot and save it back after the run")
 		verify     = flag.String("verify", "", `verification ladder rung: "sat" (prove final results), "sim" (differential harness: re-simulate every pass, refute-only), or "sim+sat"`)
 		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON on stdout")
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
@@ -263,17 +252,11 @@ func main() {
 	}
 	exact5 := db.NewOnDemand(db.OnDemandOptions{MaxConflicts: *synthConfl, Timeout: *synthTime})
 	opt := engine.BatchOptions{Workers: *workers, CacheFile: *cacheFile, Exact5: exact5}
-	if *shared {
-		opt.SharedCache = db.NewCache()
-	}
 	if *url != "" {
-		// The engine-local cache flags never reach the server; warn
+		// The engine-local store flags never reach the server; warn
 		// instead of silently dropping them so scripted runs notice.
-		if *shared {
-			log.Printf("warning: -sharedcache is ignored with -url (the server owns its cache policy)")
-		}
 		if *cacheFile != "" {
-			log.Printf("warning: -cachefile is ignored with -url (persist the cache server-side with migserve -cache-file)")
+			log.Printf("warning: -cachefile is ignored with -url (persist the store server-side with migserve -cache-file)")
 		}
 		if *synthConfl != 0 || *synthTime != 0 {
 			log.Printf("warning: -synth-conflicts/-synth-budget are ignored with -url (tune the server with migserve -synth-*)")
@@ -372,11 +355,8 @@ func main() {
 	if *url != "" {
 		reportedWorkers = *workers
 	}
-	var cacheHits, cacheMisses int
 	var extractChoices, extractSaved int
 	for _, r := range results {
-		cacheHits += r.Stats.CacheHits
-		cacheMisses += r.Stats.CacheMisses
 		extractChoices += r.Stats.Choices
 		extractSaved += r.Stats.ExtractSaved
 	}
@@ -402,8 +382,6 @@ func main() {
 			Workers:        reportedWorkers,
 			Jobs:           len(jobs),
 			Elapsed:        elapsed,
-			CacheHits:      cacheHits,
-			CacheMisses:    cacheMisses,
 			Exact5Entries:  exact5.Len(),
 			Exact5Negative: exact5.NegativeLen(),
 			Exact5Synths:   int(exact5.Synths()),
@@ -415,9 +393,6 @@ func main() {
 			Run:            runID,
 			Provenance:     prov,
 			Qor:            qorRecs,
-		}
-		if total := cacheHits + cacheMisses; total > 0 {
-			rep.CacheHitRate = float64(cacheHits) / float64(total)
 		}
 		for _, r := range results {
 			jr := jsonResult{Name: r.Name, Stats: r.Stats, Attempts: attempts}
@@ -437,21 +412,17 @@ func main() {
 		if attempts > 1 {
 			fmt.Printf("remote exchange took %d attempts (server busy; retried with backoff)\n", attempts)
 		}
-		fmt.Printf("%-16s %8s %8s %6s %6s %5s %9s %10s\n",
-			"circuit", "size", "size'", "depth", "depth'", "iters", "cache-hit", "time")
+		fmt.Printf("%-16s %8s %8s %6s %6s %5s %10s\n",
+			"circuit", "size", "size'", "depth", "depth'", "iters", "time")
 		for _, r := range results {
 			if r.Err != nil {
 				fmt.Printf("%-16s error: %v\n", r.Name, r.Err)
 				continue
 			}
 			s := r.Stats
-			fmt.Printf("%-16s %8d %8d %6d %6d %5d %8.1f%% %10v\n",
+			fmt.Printf("%-16s %8d %8d %6d %6d %5d %10v\n",
 				r.Name, s.SizeBefore, s.SizeAfter, s.DepthBefore, s.DepthAfter,
-				s.Iterations, 100*s.CacheHitRate(), s.Elapsed.Round(time.Millisecond))
-		}
-		if total := cacheHits + cacheMisses; total > 0 {
-			fmt.Printf("npn cache: %d hits / %d misses (%.1f%%)\n",
-				cacheHits, cacheMisses, 100*float64(cacheHits)/float64(total))
+				s.Iterations, s.Elapsed.Round(time.Millisecond))
 		}
 		if exact5.Len()+exact5.NegativeLen() > 0 || exact5.Synths() > 0 {
 			fmt.Println(exact5)

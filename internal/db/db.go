@@ -26,7 +26,9 @@ var embedded embed.FS
 // of 4-variable functions, indexed by class representative.
 type DB struct {
 	entries []Entry
-	byRep   map[uint16]int
+	// index maps a 16-bit class representative onto its position in
+	// entries, or absent when the class is missing from a partial DB.
+	index []uint8
 
 	// Alternative-candidate derivation state (see EnsureAlts). Load()
 	// shares one DB per process, so the menus are derived exactly once.
@@ -40,14 +42,24 @@ func (d *DB) Entries() []Entry { return d.entries }
 // Len returns the number of classes in the database (222 when complete).
 func (d *DB) Len() int { return len(d.entries) }
 
+// absent marks an index slot whose class the DB lacks. A complete DB
+// has 222 classes, so every position fits below it.
+const absent = 0xFF
+
 // Lookup returns the database entry for the NPN class of f together with
-// the transform t satisfying npn.Apply(t, entry.Rep) = f, so that
-// entry.Instantiate(m, leaves, t) builds f. f must have exactly 4
-// variables (expand smaller functions with tt.Expand first).
+// the transform t satisfying npn.Apply(t, entry.Rep) = f.Expand(4), so
+// that entry.Instantiate(m, leaves, t) builds f. Functions of fewer than
+// 4 variables are expanded to 4; more than 4 panics.
 func (d *DB) Lookup(f tt.TT) (*Entry, npn.Transform, bool) {
+	if f.N > 4 {
+		panic(fmt.Sprintf("db: Lookup requires at most 4 variables, got %d", f.N))
+	}
+	if f.N < 4 {
+		f = f.Expand(4)
+	}
 	rep, t := npn.Canonize(f)
-	i, ok := d.byRep[uint16(rep.Bits)]
-	if !ok {
+	i := d.index[uint16(rep.Bits)]
+	if i == absent {
 		return nil, npn.Transform{}, false
 	}
 	return &d.entries[i], t, true
@@ -59,13 +71,10 @@ func (d *DB) Lookup(f tt.TT) (*Entry, npn.Transform, bool) {
 // variables outside the support of f. It returns false if the class is
 // missing from the database.
 func (d *DB) Build(m *mig.MIG, f tt.TT, leaves []mig.Lit) (mig.Lit, bool) {
-	if f.N > 4 {
-		panic(fmt.Sprintf("db: Build requires at most 4 variables, got %d", f.N))
-	}
 	if len(leaves) < f.N {
 		panic(fmt.Sprintf("db: %d leaves for a %d-variable function", len(leaves), f.N))
 	}
-	e, t, ok := d.Lookup(f.Expand(4))
+	e, t, ok := d.Lookup(f)
 	if !ok {
 		return 0, false
 	}
@@ -74,8 +83,8 @@ func (d *DB) Build(m *mig.MIG, f tt.TT, leaves []mig.Lit) (mig.Lit, bool) {
 	return e.Instantiate(m, padded[:], t), true
 }
 
-// Size returns the minimum MIG size C(f) recorded for f's class, or -1 if
-// the class is missing.
+// Size returns the minimum MIG size C(f) recorded for f's class (any
+// function of up to 4 variables), or -1 if the class is missing.
 func (d *DB) Size(f tt.TT) int {
 	e, _, ok := d.Lookup(f)
 	if !ok {
@@ -87,20 +96,23 @@ func (d *DB) Size(f tt.TT) int {
 // New builds a DB from entries, rejecting duplicates and non-representative
 // keys.
 func New(entries []Entry) (*DB, error) {
-	d := &DB{byRep: make(map[uint16]int, len(entries))}
+	d := &DB{index: make([]uint8, 1<<16)}
+	for i := range d.index {
+		d.index[i] = absent
+	}
 	for _, e := range entries {
 		if rep := npn.ClassOf4(e.Rep); rep != e.Rep {
 			return nil, fmt.Errorf("db: %04x is not a class representative (class %04x)", e.Rep.Bits, rep.Bits)
 		}
-		if _, dup := d.byRep[uint16(e.Rep.Bits)]; dup {
+		if d.index[uint16(e.Rep.Bits)] != absent {
 			return nil, fmt.Errorf("db: duplicate entry for %04x", e.Rep.Bits)
 		}
-		d.byRep[uint16(e.Rep.Bits)] = len(d.entries)
+		d.index[uint16(e.Rep.Bits)] = 0 // claimed; positioned after sorting
 		d.entries = append(d.entries, e)
 	}
 	sort.Slice(d.entries, func(i, j int) bool { return d.entries[i].Rep.Bits < d.entries[j].Rep.Bits })
 	for i := range d.entries {
-		d.byRep[uint16(d.entries[i].Rep.Bits)] = i
+		d.index[uint16(d.entries[i].Rep.Bits)] = uint8(i)
 	}
 	return d, nil
 }

@@ -124,6 +124,89 @@ func TestBuildSmallArities(t *testing.T) {
 	}
 }
 
+// TestSmallAritiesMatchExpanded: every function of 1, 2 or 3 variables
+// looks up the class of its 4-variable expansion, so Size agrees with
+// the expanded function and Build reproduces f.
+func TestSmallAritiesMatchExpanded(t *testing.T) {
+	d := load(t)
+	if got := d.Size(tt.Var(1, 0)); got != 0 {
+		t.Errorf("Size(x1) = %d, want 0", got)
+	}
+	if got := d.Size(tt.Var(2, 0).And(tt.Var(2, 1))); got != 1 {
+		t.Errorf("Size(x1 x2) = %d, want 1", got)
+	}
+	for n := 1; n <= 3; n++ {
+		for bits := uint64(0); bits < 1<<(1<<n); bits++ {
+			f := tt.New(n, bits)
+			if got, want := d.Size(f), d.Size(f.Expand(4)); got != want {
+				t.Fatalf("n=%d: Size(%v) = %d, Size of its expansion = %d", n, f, got, want)
+			}
+			m := mig.New(n)
+			leaves := make([]mig.Lit, n)
+			for j := range leaves {
+				leaves[j] = m.Input(j)
+			}
+			l, ok := d.Build(m, f, leaves)
+			if !ok {
+				t.Fatalf("n=%d: class of %v missing", n, f)
+			}
+			m.AddOutput(l)
+			if got := m.Simulate()[0]; got != f {
+				t.Fatalf("n=%d: built %v, want %v", n, got, f)
+			}
+		}
+	}
+}
+
+// TestLookupAllFunctions: every 4-variable function resolves to a class
+// whose representative the returned transform maps back onto it.
+func TestLookupAllFunctions(t *testing.T) {
+	d := load(t)
+	for v := uint64(0); v < 1<<16; v++ {
+		f := tt.New(4, v)
+		e, tr, ok := d.Lookup(f)
+		if !ok {
+			t.Fatalf("%04x: class missing", v)
+		}
+		if got := tr.Apply(e.Rep); got != f {
+			t.Fatalf("%04x: Apply(t, %04x) = %v", v, e.Rep.Bits, got)
+		}
+	}
+}
+
+// TestLookupPartialDB: a partial DB finds exactly the classes it holds
+// and reports the others absent.
+func TestLookupPartialDB(t *testing.T) {
+	d := load(t)
+	entries := d.Entries()
+	partial, err := New(append([]Entry(nil), entries[:len(entries)/2]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
+		pe, _, ok := partial.Lookup(e.Rep)
+		if held := i < len(entries)/2; ok != held {
+			t.Fatalf("class %04x: found = %v, want %v", e.Rep.Bits, ok, held)
+		}
+		if ok && pe.Rep != e.Rep {
+			t.Fatalf("class %04x resolved to %04x", e.Rep.Bits, pe.Rep.Bits)
+		}
+	}
+	if got := partial.Size(entries[len(entries)-1].Rep); got != -1 {
+		t.Fatalf("Size of an absent class = %d, want -1", got)
+	}
+}
+
+// TestLookupRejectsWideFunctions: more than 4 variables is a caller bug.
+func TestLookupRejectsWideFunctions(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Lookup accepted a 5-variable function")
+		}
+	}()
+	load(t).Lookup(tt.New(5, 0))
+}
+
 // TestEntryRoundTrip serializes and re-parses the whole database.
 func TestEntryRoundTrip(t *testing.T) {
 	d := load(t)

@@ -2,13 +2,11 @@ package db
 
 import "sync/atomic"
 
-// Bounding the on-demand store (the ROADMAP item the cut-cache's
-// SetLimit already solved at K = 4). The store mirrors the cut-cache's
-// second-chance clock: learned classes live in slots carrying a
-// reference bit, the bit is set by read-locked hits, and when the store
-// is full the clock hand sweeps the ring of keys, granting one second
-// chance (clearing the bit) before evicting the first un-referenced
-// victim. An evicted class is simply re-learned on next contact — the
+// Bounding the on-demand store with a second-chance clock: learned
+// classes live in slots carrying a reference bit, the bit is set by
+// read-locked hits, and when the store is full the clock hand sweeps the
+// ring of keys, granting one second chance (clearing the bit) before
+// evicting the first un-referenced victim. An evicted class is simply re-learned on next contact — the
 // negative cache and the canonization memo are tiny per class (a map
 // key) and are deliberately not bounded here, so a budget-blown class
 // is still never re-proven hopeless.

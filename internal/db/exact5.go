@@ -63,8 +63,8 @@ type OnDemandOptions struct {
 	// another cooldown. Default 30s when BreakerFailures > 0.
 	BreakerCooldown time.Duration
 	// Limit bounds the learned classes kept in memory (0, the default,
-	// keeps everything). At the bound the store evicts with the same
-	// second-chance clock as the cut-cache; evicted classes are simply
+	// keeps everything). At the bound the store evicts with a
+	// second-chance clock (evict5.go); evicted classes are simply
 	// re-learned on next contact. Like Timeout, a bound trades the
 	// store's learn-once determinism for predictable memory, so it is
 	// opt-in and meant for long-running servers (migserve -synth-limit).
@@ -114,9 +114,9 @@ type OnDemand struct {
 	entries  map[uint32]*odSlot
 	negative map[uint32]bool
 	inflight map[uint32]chan struct{}
-	// canon memoizes Canonize5 per queried 32-bit truth table — the
-	// 5-input analog of db.Cache, here because the store already owns
-	// the right lock and lifetime. It stays unbounded (8 bytes per
+	// canon memoizes Canonize5 per queried 32-bit truth table (5-input
+	// canonization has no dense table), here because the store already
+	// owns the right lock and lifetime. It stays unbounded (8 bytes per
 	// distinct queried function); only the learned entries — the part
 	// that holds gate structures — fall under Limit.
 	canon map[uint32]canonMemo

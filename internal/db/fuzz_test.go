@@ -2,11 +2,8 @@ package db
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
-
-	"mighash/internal/tt"
 )
 
 // FuzzRead throws arbitrary bytes at the text-artifact parser. Any
@@ -50,25 +47,19 @@ func FuzzRead(f *testing.F) {
 
 // FuzzRestore throws arbitrary bytes at the snapshot decoder. Corrupt,
 // truncated, or version-skewed input must return an error and leave the
-// cache cold — never panic, never install entries from a bad stream.
+// store cold — never panic, never install classes from a bad stream.
 func FuzzRestore(f *testing.F) {
-	d, err := Load()
-	if err != nil {
-		f.Fatalf("embedded database unavailable: %v", err)
-	}
-	c := NewCache()
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 2000; i++ {
-		d.LookupCached(tt.New(4, rng.Uint64()&0xFFFF), c)
-	}
+	s := learnTwo(f)
 	var snap bytes.Buffer
-	if _, err := c.Snapshot(&snap); err != nil {
+	if _, err := WriteSnapshot(&snap, nil, s); err != nil {
 		f.Fatal(err)
 	}
 	good := snap.Bytes()
+	v1 := legacy4Stream(f, 1, []uint64{0x0000, 0x6996, 0xE8E8, 0xFFFF})
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:4])
+	f.Add(v1)
 	f.Add([]byte{})
 	f.Add([]byte("MHC\x01"))
 	f.Add([]byte("MHC\x02garbage"))
@@ -77,30 +68,23 @@ func FuzzRestore(f *testing.F) {
 	corrupt[len(corrupt)/3] ^= 0xFF
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, input []byte) {
-		warm := NewCache()
-		n, err := warm.Restore(bytes.NewReader(input), d)
+		warm := NewOnDemand(OnDemandOptions{})
+		n, err := ReadSnapshot(bytes.NewReader(input), nil, nil, warm)
 		if err != nil {
-			if warm.Len() != 0 {
-				t.Fatalf("failed restore installed %d entries", warm.Len())
+			if warm.Len() != 0 || warm.NegativeLen() != 0 {
+				t.Fatalf("failed restore installed %d/%d classes", warm.Len(), warm.NegativeLen())
 			}
 			return
 		}
-		if n != warm.Len() {
-			t.Fatalf("restore reported %d entries but cache holds %d", n, warm.Len())
+		if n != warm.Len()+warm.NegativeLen() {
+			t.Fatalf("restore reported %d records but the store holds %d/%d", n, warm.Len(), warm.NegativeLen())
 		}
-		// Every survivor must behave exactly like a cold lookup.
-		// A valid-checksum stream may carry any transform satisfying
-		// Apply(t, rep) = key (Restore verifies exactly that), so only the
-		// entry identity and ok flag are pinned against a cold lookup.
-		for v := 0; v < 1<<16; v += 257 {
-			ft := tt.New(4, uint64(v))
-			e, _, ok, hit := d.LookupCached(ft, warm)
-			if !hit {
-				continue
-			}
-			we, _, wok := d.Lookup(ft)
-			if ok != wok || e != we {
-				t.Fatalf("%04x: restored entry diverges from cold lookup", v)
+		// Every learned survivor must compute its representative, the
+		// check ReadSnapshot promises before installing anything.
+		entries, _ := warm.snapshotState()
+		for _, e := range entries {
+			if got := e.Eval(); got != e.Rep {
+				t.Fatalf("restored class %v computes %v", e.Rep, got)
 			}
 		}
 	})

@@ -23,12 +23,12 @@ import (
 //	magic   4 bytes  "MHC\x03" (the trailing byte is the format version)
 //	count   uvarint  number of records
 //	records count ×, each introduced by a width/kind tag byte:
-//	  kind 1 — memoized 4-input lookup (the NPN cut-cache):
-//	    key   uvarint  the 16-bit truth table of the cached cut function
-//	    flags 1 byte   bit 0: ok, bit 1: NegOut, bits 2–5: input Flip mask
-//	    perm  1 byte   bits 2j..2j+1: Perm[j], the transform's input
-//	                   permutation
-//	    rep   uvarint  the 16-bit NPN class representative
+//	  kind 1 — legacy, parsed and discarded (a memoized 4-input lookup
+//	           of the former cut-cache):
+//	    key   uvarint  a 16-bit truth table
+//	    flags 1 byte   bit 0: ok; perm and rep follow only when set
+//	    perm  1 byte
+//	    rep   uvarint  a 16-bit NPN class representative
 //	  kind 2 — learned 5-input class (the on-demand store):
 //	    rep   uvarint  the 32-bit semi-canonical class representative
 //	    k     uvarint  gate count
@@ -45,77 +45,47 @@ import (
 //	crc     4 bytes  little-endian IEEE CRC-32 of everything above
 //
 // Version 2 (kind 2 records without the alternative menus) and version 1
-// (no kind tags, 4-input records only) are still decoded, so
-// pre-existing cache files keep warm-starting after an upgrade; menus
-// missing from an old stream are re-derived on load, so a warm store
-// offers the same candidates a cold one would.
+// (no kind tags, kind 1 records only) are still decoded, so pre-existing
+// cache files keep loading after an upgrade; menus missing from an old
+// stream are re-derived on load, so a warm store offers the same
+// candidates a cold one would. Kind 1 records keep their range checks,
+// so a malformed one still fails the load, but nothing is installed from
+// them: every 4-input cut resolves through the dense DB.Lookup.
 //
-// The format stores no pointers and no process-local state: kind-1
-// records name their class by representative and Restore rebinds them to
-// the loading process's database; kind-2 records carry the learned
-// structure itself and are re-verified by simulation (plus the
-// semi-canonicity of the representative) before installation — the
-// alternative implementations are verified against the same
-// representative, so a tampered menu cannot enter the store; kind-3
-// records re-seed the negative cache so a budget-blown class is not
-// re-proven hopeless by every process. Negative 4-input entries
-// (ok=false, only possible with partial databases) are not written:
-// their transform was never computed, so there is nothing to rebind.
+// The format stores no pointers and no process-local state: kind-2
+// records carry the learned structure itself and are re-verified by
+// simulation (plus the semi-canonicity of the representative) before
+// installation — the alternative implementations are verified against
+// the same representative, so a tampered menu cannot enter the store;
+// kind-3 records re-seed the negative cache so a budget-blown class is
+// not re-proven hopeless by every process.
 const (
 	snapshotMagic   = "MHC"
 	snapshotVersion = 3
 
-	recCache4 = 1
-	recClass5 = 2
-	recNeg5   = 3
+	recLegacy4 = 1
+	recClass5  = 2
+	recNeg5    = 3
 )
 
 // ErrSnapshot wraps every snapshot decoding failure, so callers can
 // distinguish a corrupt or version-skewed snapshot (degrade to a cold
-// cache) from I/O errors on a healthy file.
+// store) from I/O errors on a healthy file.
 var ErrSnapshot = errors.New("db: invalid cache snapshot")
 
-// snapRecord is one decoded 4-input cache record before rebinding.
-type snapRecord struct {
-	key uint16
-	rep uint16
-	t   npn.Transform
-}
+// Cache is what remains of the removed 4-input cut-cache.
+//
+// Deprecated: every 4-input cut now resolves through DB.Lookup. The type
+// survives only as the ignored second argument of WriteSnapshot,
+// SaveSnapshotFile, ReadSnapshot and LoadSnapshotFile, so callers that
+// pass nil keep compiling.
+type Cache struct{}
 
-// Snapshot writes a point-in-time copy of the cache to w in the binary
-// snapshot format and returns the number of records written; it is
-// WriteSnapshot without an on-demand store. The output is deterministic
-// (records are sorted by key) and safe to take while other goroutines
-// keep using the cache; concurrent insertions may or may not be
-// included. Negative entries are skipped — see the format comment — so
-// the count can trail Len on partial databases.
-func (c *Cache) Snapshot(w io.Writer) (int, error) {
-	return WriteSnapshot(w, c, nil)
-}
-
-// WriteSnapshot writes the cache and, when s is non-nil, the on-demand
-// store's learned and negative 5-input classes to w as one snapshot. It
-// returns the total number of records written. Either of c and s may be
-// nil. The output is deterministic for a given cache/store state.
-func WriteSnapshot(w io.Writer, c *Cache, s *OnDemand) (int, error) {
-	type rec struct {
-		key uint16
-		v   cacheVal
-	}
-	var recs []rec
-	if c != nil {
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.RLock()
-			for k, v := range sh.m {
-				if v.ok {
-					recs = append(recs, rec{key: k, v: v})
-				}
-			}
-			sh.mu.RUnlock()
-		}
-		sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
-	}
+// WriteSnapshot writes the on-demand store's learned and negative
+// 5-input classes to w as one snapshot and returns the number of records
+// written. A nil s writes an empty snapshot. The output is deterministic
+// for a given store state. The Cache argument is ignored.
+func WriteSnapshot(w io.Writer, _ *Cache, s *OnDemand) (int, error) {
 	var entries []*Entry
 	var negatives []uint32
 	if s != nil {
@@ -131,17 +101,10 @@ func WriteSnapshot(w io.Writer, c *Cache, s *OnDemand) (int, error) {
 		n := binary.PutUvarint(buf[:], v)
 		bw.Write(buf[:n])
 	}
-	total := len(recs) + len(entries) + len(negatives)
+	total := len(entries) + len(negatives)
 	bw.WriteString(snapshotMagic)
 	bw.WriteByte(snapshotVersion)
 	writeUvarint(uint64(total))
-	for _, r := range recs {
-		bw.WriteByte(recCache4)
-		writeUvarint(uint64(r.key))
-		bw.WriteByte(packFlags(r.v.t, true))
-		bw.WriteByte(packPerm(r.v.t))
-		writeUvarint(uint64(r.v.entry.Rep.Bits))
-	}
 	writeBody := func(e *Entry) {
 		writeUvarint(uint64(len(e.Gates)))
 		writeUvarint(uint64(e.Out))
@@ -178,36 +141,6 @@ func WriteSnapshot(w io.Writer, c *Cache, s *OnDemand) (int, error) {
 	return total, err
 }
 
-func packFlags(t npn.Transform, ok bool) byte {
-	var f byte
-	if ok {
-		f |= 1
-	}
-	if t.NegOut {
-		f |= 1 << 1
-	}
-	f |= (t.Flip & 0x0F) << 2
-	return f
-}
-
-func packPerm(t npn.Transform) byte {
-	var p byte
-	for j := 0; j < 4; j++ {
-		p |= byte(t.Perm[j]&3) << (2 * uint(j))
-	}
-	return p
-}
-
-func unpackTransform(flags, perm byte) npn.Transform {
-	t := npn.Transform{N: 4}
-	t.NegOut = flags&(1<<1) != 0
-	t.Flip = (flags >> 2) & 0x0F
-	for j := 0; j < 4; j++ {
-		t.Perm[j] = int(perm>>(2*uint(j))) & 3
-	}
-	return t
-}
-
 // crcByteReader counts every byte it hands out into a CRC-32, so the
 // decoder can verify the trailer without buffering the whole snapshot.
 type crcByteReader struct {
@@ -233,35 +166,19 @@ func (cr *crcByteReader) read(p []byte) error {
 	return nil
 }
 
-// Restore reads a snapshot from r and installs its 4-input cache records
-// into c, rebinding every record to the loading process's database d; it
-// is ReadSnapshot without an on-demand store (learned-class records in
-// the stream are validated but skipped). It returns the number of
-// entries installed.
-func (c *Cache) Restore(r io.Reader, d *DB) (int, error) {
-	return ReadSnapshot(r, d, c, nil)
-}
-
-// ReadSnapshot decodes one snapshot from r and installs its records:
-// 4-input cache records into c (rebound through d — the class named by
-// the stored representative is looked up in d, records whose class d
-// lacks are skipped, and each surviving transform is verified against
-// its key, so a snapshot can never install an entry the equivalent cold
-// Lookup would not have produced), learned and negative 5-input classes
-// into s (learned structures are re-verified by simulation and their
-// representatives checked semi-canonical). A nil c or s skips the
-// corresponding record kinds. It returns the number of records
-// installed.
+// ReadSnapshot decodes one snapshot from r and installs its learned and
+// negative 5-input classes into s (learned structures are re-verified by
+// simulation and their representatives checked semi-canonical). A nil s
+// validates the stream without installing anything. Legacy kind-1
+// records are range-checked and discarded. It returns the number of
+// records installed. The DB and Cache arguments are ignored.
 //
 // Decoding is all-or-nothing: on any error (truncation, corruption,
 // checksum or version mismatch, a record failing verification — all
-// wrapping ErrSnapshot, distinguishable from I/O errors) neither c nor s
-// is changed, so callers degrade to a cold cache. Existing contents are
-// kept; restored records do not overwrite keys already present.
-func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
-	if c != nil && d == nil {
-		return 0, fmt.Errorf("%w: restore requires a database to rebind entries", ErrSnapshot)
-	}
+// wrapping ErrSnapshot, distinguishable from I/O errors) s is unchanged,
+// so callers degrade to a cold store. Existing contents are kept;
+// restored records do not overwrite classes already present.
+func ReadSnapshot(r io.Reader, _ *DB, _ *Cache, s *OnDemand) (int, error) {
 	cr := &crcByteReader{r: bufio.NewReader(r)}
 	var head [4]byte
 	if err := cr.read(head[:]); err != nil {
@@ -286,11 +203,10 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		return 0, fmt.Errorf("%w: implausible record count %d", ErrSnapshot, count)
 	}
 	var (
-		recs    []snapRecord
 		learned []Entry
 		negs    []uint32
 	)
-	readCache4 := func(i uint64) error {
+	readLegacy4 := func(i uint64) error {
 		key, err := binary.ReadUvarint(cr)
 		if err != nil {
 			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
@@ -303,12 +219,9 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
 		}
 		if flags&1 == 0 {
-			// Negative record: tolerated for forward compatibility but
-			// never rebound (the loading DB may know the class).
-			return nil
+			return nil // a negative record carries no perm and rep
 		}
-		perm, err := cr.ReadByte()
-		if err != nil {
+		if _, err := cr.ReadByte(); err != nil {
 			return fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
 		}
 		rep, err := binary.ReadUvarint(cr)
@@ -318,11 +231,6 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		if rep > 0xFFFF {
 			return fmt.Errorf("%w: record %d representative %#x exceeds 16 bits", ErrSnapshot, i, rep)
 		}
-		recs = append(recs, snapRecord{
-			key: uint16(key),
-			rep: uint16(rep),
-			t:   unpackTransform(flags, perm),
-		})
 		return nil
 	}
 	// readBody decodes one k/out/gates implementation body — shared by
@@ -439,15 +347,15 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		return nil
 	}
 	for i := uint64(0); i < count; i++ {
-		kind := byte(recCache4)
+		kind := byte(recLegacy4)
 		if version >= 2 {
 			if kind, err = cr.ReadByte(); err != nil {
 				return 0, fmt.Errorf("%w: truncated record %d: %v", ErrSnapshot, i, err)
 			}
 		}
 		switch kind {
-		case recCache4:
-			err = readCache4(i)
+		case recLegacy4:
+			err = readLegacy4(i)
 		case recClass5:
 			err = readClass5(i)
 		case recNeg5:
@@ -467,38 +375,7 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 		return 0, fmt.Errorf("%w: checksum mismatch (%08x != %08x)", ErrSnapshot, got, want)
 	}
 
-	// Rebind and verify before touching the cache, so a record that fails
-	// verification leaves the cache unchanged.
-	type bound struct {
-		key uint16
-		v   cacheVal
-	}
-	var installs []bound
-	if c != nil {
-		installs = make([]bound, 0, len(recs))
-		for _, r := range recs {
-			i, ok := d.byRep[r.rep]
-			if !ok {
-				continue // class unknown to this database; re-discover as a miss
-			}
-			e := &d.entries[i]
-			if got := r.t.Apply(e.Rep); uint16(got.Bits) != r.key {
-				return 0, fmt.Errorf("%w: record %04x: transform does not map class %04x onto it",
-					ErrSnapshot, r.key, r.rep)
-			}
-			installs = append(installs, bound{key: r.key, v: cacheVal{entry: e, t: r.t, ok: true}})
-		}
-	}
 	n := 0
-	for _, b := range installs {
-		sh := c.shard(b.key)
-		sh.mu.Lock()
-		if _, exists := sh.m[b.key]; !exists {
-			sh.insert(b.key, b.v)
-			n++
-		}
-		sh.mu.Unlock()
-	}
 	for i := range learned {
 		if s.add(&learned[i]) {
 			n++
@@ -512,21 +389,15 @@ func ReadSnapshot(r io.Reader, d *DB, c *Cache, s *OnDemand) (int, error) {
 	return n, nil
 }
 
-// SaveFile atomically writes a snapshot of c to path; it is
-// SaveSnapshotFile without an on-demand store.
-func (c *Cache) SaveFile(path string) (int, error) {
-	return SaveSnapshotFile(path, c, nil)
-}
-
-// SaveSnapshotFile atomically writes a snapshot of c and s (either may
-// be nil) to path and returns the number of records written: the
+// SaveSnapshotFile atomically writes a snapshot of s (see WriteSnapshot)
+// to path and returns the number of records written: the
 // snapshot is streamed to a temporary file in the same directory,
 // synced, and renamed over path, so readers never observe a partially
 // written snapshot and a crash mid-save leaves the previous snapshot
 // intact. An existing file keeps its permission bits; a fresh one is
 // created world-readable (0644) rather than with CreateTemp's private
 // 0600, so sidecar readers are not locked out.
-func SaveSnapshotFile(path string, c *Cache, s *OnDemand) (int, error) {
+func SaveSnapshotFile(path string, _ *Cache, s *OnDemand) (int, error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -552,7 +423,7 @@ func SaveSnapshotFile(path string, c *Cache, s *OnDemand) (int, error) {
 		io.WriteString(f, snapshotMagic) // leave a genuinely partial write behind
 		return fail(err)
 	}
-	n, err := WriteSnapshot(f, c, s)
+	n, err := WriteSnapshot(f, nil, s)
 	if err != nil {
 		return fail(err)
 	}
@@ -577,17 +448,11 @@ func SaveSnapshotFile(path string, c *Cache, s *OnDemand) (int, error) {
 	return n, nil
 }
 
-// LoadFile restores the snapshot at path into c, rebinding entries
-// through d; it is LoadSnapshotFile without an on-demand store.
-func (c *Cache) LoadFile(path string, d *DB) (int, error) {
-	return LoadSnapshotFile(path, d, c, nil)
-}
-
-// LoadSnapshotFile restores the snapshot at path into c and s (see
+// LoadSnapshotFile restores the snapshot at path into s (see
 // ReadSnapshot). A missing file is reported as an error satisfying
 // errors.Is(err, fs.ErrNotExist), which callers treat as a cold start;
-// any ErrSnapshot error likewise leaves c and s unchanged.
-func LoadSnapshotFile(path string, d *DB, c *Cache, s *OnDemand) (int, error) {
+// any ErrSnapshot error likewise leaves s unchanged.
+func LoadSnapshotFile(path string, _ *DB, _ *Cache, s *OnDemand) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -595,9 +460,9 @@ func LoadSnapshotFile(path string, d *DB, c *Cache, s *OnDemand) (int, error) {
 	defer f.Close()
 	// Failpoint "db/snapshot-load": a read failure on a healthy file
 	// (bad sector, truncated NFS read). Callers must degrade to a cold
-	// cache exactly as they do for ErrSnapshot corruption.
+	// store exactly as they do for ErrSnapshot corruption.
 	if err := fault.Hit("db/snapshot-load"); err != nil {
 		return 0, err
 	}
-	return ReadSnapshot(f, d, c, s)
+	return ReadSnapshot(f, nil, nil, s)
 }

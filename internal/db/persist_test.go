@@ -2,127 +2,82 @@ package db
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io/fs"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"mighash/internal/tt"
 )
 
-// populate fills c through d with n pseudo-random 4-variable functions
-// and returns the keys that were looked up.
-func populate(t *testing.T, d *DB, c *Cache, n int, seed int64) []uint16 {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	keys := make([]uint16, 0, n)
-	for i := 0; i < n; i++ {
-		k := uint16(rng.Uint64())
-		d.LookupCached(tt.New(4, uint64(k)), c)
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// TestSnapshotRoundTrip: restoring a snapshot into a fresh cache yields
-// the same entries, transforms and ok flags for every key, rebound to
-// the loading DB, and every restored key is a hit.
+// TestSnapshotRoundTrip: WriteSnapshot/ReadSnapshot through memory
+// restores every learned class with its structure, alternatives and
+// lookup transform intact, and every negative class as negative, so the
+// warm store answers each lookup exactly as the original does without
+// running a ladder.
 func TestSnapshotRoundTrip(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	keys := populate(t, d, c, 5000, 1)
-
+	s := learnTwo(t)
 	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	warm := NewCache()
-	n, err := warm.Restore(bytes.NewReader(buf.Bytes()), d)
+	wrote, err := WriteSnapshot(&buf, nil, s)
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	if n != c.Len() || warm.Len() != c.Len() {
-		t.Fatalf("restored %d entries into a cache of %d, want %d", n, warm.Len(), c.Len())
+	warm := NewOnDemand(OnDemandOptions{})
+	n, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), nil, nil, warm)
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	for _, k := range keys {
-		f := tt.New(4, uint64(k))
-		we, wt, wok, _ := d.LookupCached(f, c)
-		e, tr, ok, hit := d.LookupCached(f, warm)
-		if e != we || tr != wt || ok != wok {
-			t.Fatalf("%04x: restored lookup (%p,%v,%v) != original (%p,%v,%v)", k, e, tr, ok, we, wt, wok)
+	if n != wrote || warm.Len() != s.Len() || warm.NegativeLen() != s.NegativeLen() {
+		t.Fatalf("restored %d of %d records into %d/%d classes, want %d/%d",
+			n, wrote, warm.Len(), warm.NegativeLen(), s.Len(), s.NegativeLen())
+	}
+	for _, f := range []tt.TT{and5(), and5().Not(), majority5(), tt.New(5, 0x9D2B64E817A3C55F)} {
+		we, wt, wok := s.Lookup(context.Background(), f)
+		e, tr, ok := warm.Lookup(context.Background(), f)
+		if ok != wok {
+			t.Fatalf("%v: restored lookup ok=%v, original ok=%v", f, ok, wok)
 		}
-		if !hit {
-			t.Fatalf("%04x: restored entry did not hit", k)
+		if !ok {
+			continue
 		}
+		if tr != wt || e.Rep != we.Rep || e.Out != we.Out || e.Depth != we.Depth ||
+			!reflect.DeepEqual(e.Gates, we.Gates) || e.NumCandidates() != we.NumCandidates() {
+			t.Fatalf("%v: restored entry (rep %v, %d gates, depth %d, %d candidates) != original (rep %v, %d gates, depth %d, %d candidates)",
+				f, e.Rep, len(e.Gates), e.Depth, e.NumCandidates(), we.Rep, len(we.Gates), we.Depth, we.NumCandidates())
+		}
+		if got := tr.Apply(e.Rep); got != f {
+			t.Fatalf("restored entry instantiates %v, want %v", got, f)
+		}
+	}
+	if warm.Synths() != 0 {
+		t.Fatalf("warm store ran %d ladders, want 0", warm.Synths())
 	}
 }
 
-// TestSnapshotDeterministic: two snapshots of the same cache are
-// byte-identical (records are sorted by key).
+// TestSnapshotDeterministic: two snapshots of the same store are
+// byte-identical (records are sorted by representative).
 func TestSnapshotDeterministic(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 3000, 2)
+	s := learnTwo(t)
 	var a, b bytes.Buffer
-	if _, err := c.Snapshot(&a); err != nil {
+	if _, err := WriteSnapshot(&a, nil, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Snapshot(&b); err != nil {
+	if _, err := WriteSnapshot(&b, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("two snapshots of one cache differ (%d vs %d bytes)", a.Len(), b.Len())
-	}
-}
-
-// TestSnapshotRebindsAcrossDBs: a snapshot taken against one DB instance
-// restores against a different instance of the same artifact, with every
-// entry pointer belonging to the loading DB.
-func TestSnapshotRebindsAcrossDBs(t *testing.T) {
-	d1 := mustLoad(t)
-	var art strings.Builder
-	if err := d1.Write(&art); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Read(strings.NewReader(art.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewCache()
-	keys := populate(t, d1, c, 2000, 3)
-	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCache()
-	if _, err := warm.Restore(bytes.NewReader(buf.Bytes()), d2); err != nil {
-		t.Fatalf("Restore against second DB: %v", err)
-	}
-	for _, k := range keys {
-		f := tt.New(4, uint64(k))
-		e, tr, ok, hit := d2.LookupCached(f, warm)
-		we, wt, wok := d2.Lookup(f)
-		if !hit {
-			t.Fatalf("%04x: not restored", k)
-		}
-		if e != we || tr != wt || ok != wok {
-			t.Fatalf("%04x: rebound lookup diverges from d2.Lookup", k)
-		}
+		t.Fatalf("two snapshots of one store differ (%d vs %d bytes)", a.Len(), b.Len())
 	}
 }
 
 // TestRestoreRejectsCorruption: version skew, bad magic, truncation, a
-// flipped byte, and garbage all error out and leave the cache cold.
+// flipped byte, and garbage all error out and leave the store cold.
 func TestRestoreRejectsCorruption(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 1000, 4)
 	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
+	if _, err := WriteSnapshot(&buf, nil, learnTwo(t)); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -142,222 +97,122 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	cases["flipped byte"] = flipped
 
 	for name, data := range cases {
-		warm := NewCache()
-		n, err := warm.Restore(bytes.NewReader(data), d)
+		warm := NewOnDemand(OnDemandOptions{})
+		n, err := ReadSnapshot(bytes.NewReader(data), nil, nil, warm)
 		if err == nil {
-			t.Errorf("%s: Restore accepted corrupt input (%d entries)", name, n)
+			t.Errorf("%s: ReadSnapshot accepted corrupt input (%d records)", name, n)
 			continue
 		}
 		if !errors.Is(err, ErrSnapshot) {
 			t.Errorf("%s: error %v does not wrap ErrSnapshot", name, err)
 		}
-		if warm.Len() != 0 {
-			t.Errorf("%s: corrupt restore left %d entries in the cache", name, warm.Len())
+		if warm.Len() != 0 || warm.NegativeLen() != 0 {
+			t.Errorf("%s: corrupt restore left %d/%d classes in the store", name, warm.Len(), warm.NegativeLen())
 		}
 	}
 }
 
-// TestRestoreSkipsUnknownClasses: records whose class the loading DB
-// lacks are skipped, not errors — a snapshot from a full DB warm-starts
-// a partial one.
-func TestRestoreSkipsUnknownClasses(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 2000, 5)
-	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A partial DB: half the entries.
-	entries := d.Entries()
-	partial, err := New(append([]Entry(nil), entries[:len(entries)/2]...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCache()
-	n, err := warm.Restore(bytes.NewReader(buf.Bytes()), partial)
-	if err != nil {
-		t.Fatalf("Restore against partial DB: %v", err)
-	}
-	if n >= c.Len() {
-		t.Fatalf("partial DB restored %d of %d entries; expected some skipped", n, c.Len())
-	}
-	if warm.Len() != n {
-		t.Fatalf("cache holds %d entries, restore reported %d", warm.Len(), n)
-	}
-}
-
-// TestSaveLoadFile: SaveFile is atomic (no temp litter, previous file
-// intact on failure paths) and LoadFile round-trips; a missing file
-// reports fs.ErrNotExist.
+// TestSaveLoadFile: SaveSnapshotFile is atomic (no temp litter) and
+// LoadSnapshotFile round-trips; a missing file reports fs.ErrNotExist
+// and a corrupt one ErrSnapshot.
 func TestSaveLoadFile(t *testing.T) {
-	d := mustLoad(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "npn.cache")
 
-	c := NewCache()
-	if _, err := c.LoadFile(path, d); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("LoadFile on a missing file: err = %v, want fs.ErrNotExist", err)
+	if _, err := LoadSnapshotFile(path, nil, nil, NewOnDemand(OnDemandOptions{})); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("LoadSnapshotFile on a missing file: err = %v, want fs.ErrNotExist", err)
 	}
-	populate(t, d, c, 4000, 6)
-	if _, err := c.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
+	s := learnTwo(t)
+	wrote, err := SaveSnapshotFile(path, nil, s)
+	if err != nil {
+		t.Fatalf("SaveSnapshotFile: %v", err)
 	}
 	glob, _ := filepath.Glob(filepath.Join(dir, "*.tmp*"))
 	if len(glob) != 0 {
-		t.Fatalf("SaveFile left temp files behind: %v", glob)
+		t.Fatalf("SaveSnapshotFile left temp files behind: %v", glob)
 	}
-	warm := NewCache()
-	n, err := warm.LoadFile(path, d)
+	n, err := LoadSnapshotFile(path, nil, nil, NewOnDemand(OnDemandOptions{}))
 	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
+		t.Fatalf("LoadSnapshotFile: %v", err)
 	}
-	if n != c.Len() {
-		t.Fatalf("LoadFile restored %d entries, want %d", n, c.Len())
+	if n != wrote {
+		t.Fatalf("LoadSnapshotFile restored %d records, want %d", n, wrote)
 	}
 
 	// Corrupting the file on disk degrades to an error, not a panic, and
-	// a subsequent SaveFile replaces it atomically.
+	// a subsequent save replaces it atomically.
 	if err := os.WriteFile(path, []byte("scribbled over"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cold := NewCache()
-	if _, err := cold.LoadFile(path, d); !errors.Is(err, ErrSnapshot) {
-		t.Fatalf("LoadFile on corrupt file: err = %v, want ErrSnapshot", err)
+	cold := NewOnDemand(OnDemandOptions{})
+	if _, err := LoadSnapshotFile(path, nil, nil, cold); !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("LoadSnapshotFile on corrupt file: err = %v, want ErrSnapshot", err)
 	}
-	if _, err := c.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile over corrupt file: %v", err)
+	if _, err := SaveSnapshotFile(path, nil, s); err != nil {
+		t.Fatalf("SaveSnapshotFile over corrupt file: %v", err)
 	}
-	if _, err := cold.LoadFile(path, d); err != nil {
-		t.Fatalf("LoadFile after re-save: %v", err)
-	}
-}
-
-// TestSetLimitBounds: a bounded cache never exceeds its per-shard budget
-// no matter how many distinct keys stream through.
-func TestSetLimitBounds(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	const limit = 1024
-	c.SetLimit(limit)
-	for v := 0; v < 1<<16; v++ {
-		d.LookupCached(tt.New(4, uint64(v)), c)
-	}
-	// Per-shard budget is ceil(limit/64); the global bound is its sum.
-	per := (limit + cacheShardCount - 1) / cacheShardCount
-	if got := c.Len(); got > per*cacheShardCount {
-		t.Fatalf("bounded cache holds %d entries, budget %d", got, per*cacheShardCount)
-	}
-	if got := c.Len(); got != per*cacheShardCount {
-		t.Errorf("full key sweep should fill the budget exactly: %d != %d", got, per*cacheShardCount)
+	if _, err := LoadSnapshotFile(path, nil, nil, cold); err != nil {
+		t.Fatalf("LoadSnapshotFile after re-save: %v", err)
 	}
 }
 
-// TestSetLimitShrinksExisting: lowering the bound on a populated cache
-// evicts down immediately.
-func TestSetLimitShrinksExisting(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	for v := 0; v < 1<<14; v++ {
-		d.LookupCached(tt.New(4, uint64(v)), c)
-	}
-	before := c.Len()
-	c.SetLimit(128)
-	if got, want := c.Len(), 2*cacheShardCount; got > want {
-		t.Fatalf("SetLimit(128) left %d entries (was %d), want <= %d", got, before, want)
-	}
-}
-
-// TestSecondChanceKeepsHotKeys: a key that is hit between insertions
-// survives the sweep that evicts a colder neighbor. Keys 0, 64, 128
-// share shard 0 (shard = key & 63); with a per-shard budget of 2 the
-// third insertion must evict exactly the un-hit key.
-func TestSecondChanceKeepsHotKeys(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	c.SetLimit(2 * cacheShardCount) // per-shard budget 2
-
-	hot := tt.New(4, 0)
-	cold := tt.New(4, 64)
-	newcomer := tt.New(4, 128)
-	d.LookupCached(hot, c)      // insert hot
-	d.LookupCached(cold, c)     // insert cold — shard 0 now full
-	d.LookupCached(hot, c)      // hit hot: reference bit set
-	d.LookupCached(newcomer, c) // must evict cold, not hot
-
-	if _, _, _, hit := d.LookupCached(hot, c); !hit {
-		t.Error("hot key was evicted despite its second chance")
-	}
-	if _, _, _, hit := d.LookupCached(newcomer, c); !hit {
-		t.Error("newly inserted key missing")
-	}
-	// cold was the victim, so looking it up again is a miss… which
-	// re-inserts it, evicting the current clock victim. Just check the
-	// miss itself.
-	if _, _, _, hit := d.LookupCached(cold, c); hit {
-		t.Error("cold key survived a full shard; expected it evicted")
-	}
-}
-
-// TestRestoreRespectsLimit: restoring a big snapshot into a bounded
-// cache stays within the bound.
+// TestRestoreRespectsLimit: restoring a snapshot into a bounded store
+// stays within the bound.
 func TestRestoreRespectsLimit(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 20000, 7)
 	var buf bytes.Buffer
-	if _, err := c.Snapshot(&buf); err != nil {
+	if _, err := WriteSnapshot(&buf, nil, learnTwo(t)); err != nil {
 		t.Fatal(err)
 	}
-	warm := NewCache()
-	warm.SetLimit(512)
-	if _, err := warm.Restore(bytes.NewReader(buf.Bytes()), d); err != nil {
+	warm := NewOnDemand(OnDemandOptions{Limit: 1})
+	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), nil, nil, warm); err != nil {
 		t.Fatal(err)
 	}
-	per := (512 + cacheShardCount - 1) / cacheShardCount
-	if got := warm.Len(); got > per*cacheShardCount {
-		t.Fatalf("bounded restore holds %d entries, budget %d", got, per*cacheShardCount)
+	if got := warm.Len(); got != 1 {
+		t.Fatalf("bounded restore holds %d classes, bound 1", got)
+	}
+	if warm.Evictions() != 1 {
+		t.Fatalf("bounded restore evicted %d classes, want 1", warm.Evictions())
 	}
 }
 
-// TestSnapshotBoundedConcurrent: snapshotting while a bounded cache is
-// being hammered must neither race nor produce an invalid snapshot.
+// TestSnapshotBoundedConcurrent: snapshotting while a bounded store is
+// being filled and evicted must neither race nor produce an invalid
+// snapshot.
 func TestSnapshotBoundedConcurrent(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	c.SetLimit(2048)
+	s := NewOnDemand(OnDemandOptions{Limit: 64})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rng := rand.New(rand.NewSource(8))
-		for i := 0; i < 50000; i++ {
-			d.LookupCached(tt.New(4, rng.Uint64()&0xFFFF), c)
+		for key := uint32(1); key <= 50000; key++ {
+			s.add(fakeEntry(key))
 		}
 	}()
 	for i := 0; i < 20; i++ {
 		var buf bytes.Buffer
-		if _, err := c.Snapshot(&buf); err != nil {
-			t.Fatalf("Snapshot during writes: %v", err)
+		if _, err := WriteSnapshot(&buf, nil, s); err != nil {
+			t.Fatalf("WriteSnapshot during writes: %v", err)
 		}
-		warm := NewCache()
-		if _, err := warm.Restore(bytes.NewReader(buf.Bytes()), d); err != nil {
-			t.Fatalf("Restore of concurrent snapshot: %v", err)
+		// fakeEntry structures compute nothing, so validate the stream
+		// without a store to install into.
+		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), nil, nil, nil); err != nil {
+			t.Fatalf("ReadSnapshot of concurrent snapshot: %v", err)
 		}
 	}
 	<-done
+	if s.Len() != 64 {
+		t.Fatalf("bounded store holds %d classes, want 64", s.Len())
+	}
 }
 
 // TestSaveFilePermissions: an existing snapshot keeps its permission
 // bits across re-saves, and a fresh snapshot is world-readable instead
 // of inheriting CreateTemp's private 0600.
 func TestSaveFilePermissions(t *testing.T) {
-	d := mustLoad(t)
-	c := NewCache()
-	populate(t, d, c, 200, 9)
+	s := learnTwo(t)
 	dir := t.TempDir()
 
 	fresh := filepath.Join(dir, "fresh.cache")
-	if _, err := c.SaveFile(fresh); err != nil {
+	if _, err := SaveSnapshotFile(fresh, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if fi, _ := os.Stat(fresh); fi.Mode().Perm() != 0o644 {
@@ -371,7 +226,7 @@ func TestSaveFilePermissions(t *testing.T) {
 	if err := os.Chmod(kept, 0o664); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SaveFile(kept); err != nil {
+	if _, err := SaveSnapshotFile(kept, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if fi, _ := os.Stat(kept); fi.Mode().Perm() != 0o664 {

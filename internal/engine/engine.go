@@ -23,9 +23,6 @@ type PassStats struct {
 	// Replacements counts database substitutions (rewrite passes) or
 	// accepted reassociations (depth passes).
 	Replacements int `json:"replacements"`
-	// NPN cut-cache traffic of this pass; zero for non-rewrite passes.
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
 	// Choice-aware extraction of this pass (zero unless the pass ran
 	// with rewrite.Options.Extract): recorded choices, and the gates the
 	// extracted cover saved over the pass's greedy twin.
@@ -35,16 +32,12 @@ type PassStats struct {
 }
 
 func (s PassStats) String() string {
-	out := fmt.Sprintf("%s[%d]: size %d→%d, depth %d→%d",
+	return fmt.Sprintf("%s[%d]: size %d→%d, depth %d→%d",
 		s.Name, s.Iteration, s.SizeBefore, s.SizeAfter, s.DepthBefore, s.DepthAfter)
-	if s.CacheHits+s.CacheMisses > 0 {
-		out += fmt.Sprintf(", cache %d/%d", s.CacheHits, s.CacheHits+s.CacheMisses)
-	}
-	return out
 }
 
-// passEnv is the shared context a pass executes in: the database and NPN
-// cache shared by the whole run, the on-demand 5-input store feeding the
+// passEnv is the shared context a pass executes in: the database shared
+// by the whole run, the on-demand 5-input store feeding the
 // K = 5 passes, the run's context (cancelling in-flight exact synthesis),
 // the rewrite workspace reused across all passes and iterations of one
 // pipeline run (each RunContext owns a private one, so concurrent batch
@@ -52,7 +45,6 @@ func (s PassStats) String() string {
 type passEnv struct {
 	ctx     context.Context
 	d       *db.DB
-	cache   *db.Cache
 	exact5  *db.OnDemand
 	ws      *rewrite.Workspace
 	workers int
@@ -75,8 +67,8 @@ func (p Pass) Name() string { return p.name }
 
 // RewritePass wraps one functional-hashing configuration. The pass name
 // is the paper acronym of opt (rewrite.VariantName, "TF5" etc. for the
-// K = 5 extensions); opt.Cache, opt.Exact5 and opt.Ctx are overridden by
-// the pipeline's environment.
+// K = 5 extensions); opt.Exact5 and opt.Ctx are overridden by the
+// pipeline's environment.
 func RewritePass(opt rewrite.Options) Pass {
 	name := rewrite.VariantName(opt)
 	return Pass{
@@ -85,7 +77,6 @@ func RewritePass(opt rewrite.Options) Pass {
 			// Copy the captured options: concurrent batch workers share
 			// this Pass, so the closure state must stay read-only.
 			o := opt
-			o.Cache = env.cache
 			o.Exact5 = env.exact5
 			o.Ctx = env.ctx
 			o.Workspace = env.ws
@@ -102,8 +93,6 @@ func RewritePass(opt rewrite.Options) Pass {
 				SizeBefore: st.SizeBefore, SizeAfter: st.SizeAfter,
 				DepthBefore: st.DepthBefore, DepthAfter: st.DepthAfter,
 				Replacements: st.Replacements,
-				CacheHits:    st.CacheHits,
-				CacheMisses:  st.CacheMisses,
 				Choices:      st.Choices,
 				ExtractSaved: st.ExtractSaved,
 				Elapsed:      st.Elapsed,

@@ -100,82 +100,21 @@ func TestPipelineConvergesToFixpoint(t *testing.T) {
 	_ = again
 }
 
-// TestPipelineCacheHitsOnSecondIteration is the acceptance criterion for
-// the NPN cut-cache: iteration 2 re-canonicalizes mostly functions that
-// iteration 1 already resolved, so its passes must report cache hits.
-func TestPipelineCacheHitsOnSecondIteration(t *testing.T) {
-	d := loadDB(t)
-	p, _ := Preset("size")
-	p.DB = d
-	_, st, err := p.Run(startMax(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits2 int
-	for _, ps := range st.Passes {
-		if ps.Iteration == 2 {
-			hits2 += ps.CacheHits
-		}
-	}
-	if hits2 == 0 {
-		t.Errorf("no cache hits on iteration 2: %+v", st.Passes)
-	}
-	if st.CacheHits+st.CacheMisses == 0 {
-		t.Error("pipeline recorded no cache traffic at all")
-	}
-}
-
-// TestCachedRewriteMatchesUncached: threading the cache through a rewrite
-// pass must not change its outcome — identical stats and a simulation-
-// verified identical function.
-func TestCachedRewriteMatchesUncached(t *testing.T) {
-	d := loadDB(t)
-	rng := rand.New(rand.NewSource(23))
-	for round := 0; round < 6; round++ {
-		m := randomMIG(rng, 4+rng.Intn(3), 40+rng.Intn(80), 2)
-		want := m.Simulate()
-		for _, opt := range []rewrite.Options{rewrite.TF, rewrite.BF, rewrite.TD} {
-			plain, pst := rewrite.Run(m, d, opt)
-			cached := opt
-			cached.Cache = db.NewCache()
-			got, cst := rewrite.Run(m, d, cached)
-			if got.Size() != plain.Size() || got.Depth() != plain.Depth() ||
-				cst.Replacements != pst.Replacements {
-				t.Fatalf("round %d %s: cached rewrite diverged: %v vs %v", round, pst.Variant, cst, pst)
-			}
-			if cst.CacheHits+cst.CacheMisses == 0 {
-				t.Fatalf("round %d %s: cache saw no traffic", round, pst.Variant)
-			}
-			sim := got.Simulate()
-			for i := range want {
-				if sim[i] != want[i] {
-					t.Fatalf("round %d %s: cached rewrite changed output %d", round, pst.Variant, i)
-				}
-			}
-		}
-	}
-}
-
-// TestCachedRewriteCEC re-checks cache soundness on a real workload with
-// the SAT equivalence checker.
-func TestCachedRewriteCEC(t *testing.T) {
+// TestRewriteBFCEC proves a BF pass on a real workload sound with the
+// SAT equivalence checker.
+func TestRewriteBFCEC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CEC on Max is slow")
 	}
 	d := loadDB(t)
 	m := startMax(t)
-	opt := rewrite.BF
-	opt.Cache = db.NewCache()
-	res, st := rewrite.Run(m, d, opt)
-	if st.CacheMisses == 0 {
-		t.Fatal("cache saw no traffic")
-	}
+	res, _ := rewrite.Run(m, d, rewrite.BF)
 	eq, ce, err := mig.Equivalent(m, res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !eq {
-		t.Fatalf("cached rewrite changed the function, counterexample %v", ce)
+		t.Fatalf("BF rewrite changed the function, counterexample %v", ce)
 	}
 }
 
@@ -195,9 +134,8 @@ func normalize(results []Result) []Result {
 	return out
 }
 
-// TestRunBatchDeterministicAcrossWorkers: the per-job stats (including
-// cache counters, thanks to per-job private caches) must be byte-identical
-// at any worker count, in job order.
+// TestRunBatchDeterministicAcrossWorkers: the per-job stats must be
+// byte-identical at any worker count, in job order.
 func TestRunBatchDeterministicAcrossWorkers(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(41))
@@ -236,33 +174,6 @@ func TestRunBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunBatchSharedCacheSameGraphs: sharing one cache across workers
-// changes only hit/miss attribution, never the optimized graphs.
-func TestRunBatchSharedCacheSameGraphs(t *testing.T) {
-	d := loadDB(t)
-	rng := rand.New(rand.NewSource(43))
-	var jobs []Job
-	for i := 0; i < 4; i++ {
-		jobs = append(jobs, Job{Name: "j", M: randomMIG(rng, 8, 150, 2)})
-	}
-	p, _ := Preset("size")
-	p.DB = d
-	plain, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 4, SharedCache: db.NewCache()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		a, b := plain[i], shared[i]
-		if a.M.Size() != b.M.Size() || a.M.Depth() != b.M.Depth() {
-			t.Errorf("job %d: shared cache changed the result: %v vs %v", i, a.Stats, b.Stats)
-		}
-	}
-}
-
 // TestRunBatchCancellation: a cancelled context aborts promptly, marking
 // unfinished jobs with the context error.
 func TestRunBatchCancellation(t *testing.T) {
@@ -281,11 +192,10 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestRunBatchHammersSharedState is the -race stress test: many workers,
-// shared cache, and concurrent direct cache lookups.
+// TestRunBatchHammersSharedState is the -race stress test: many workers
+// share one database while other goroutines look functions up in it.
 func TestRunBatchHammersSharedState(t *testing.T) {
 	d := loadDB(t)
-	cache := db.NewCache()
 	rng := rand.New(rand.NewSource(47))
 	var jobs []Job
 	for i := 0; i < 12; i++ {
@@ -301,11 +211,15 @@ func TestRunBatchHammersSharedState(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 5000; i++ {
 				f := randomTT4(r)
-				d.LookupCached(f, cache)
+				e, tr, ok := d.Lookup(f)
+				if !ok || tr.Apply(e.Rep) != f {
+					t.Errorf("concurrent lookup of %v diverged", f)
+					return
+				}
 			}
 		}(int64(w))
 	}
-	if _, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: runtime.NumCPU() + 2, SharedCache: cache}); err != nil {
+	if _, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: runtime.NumCPU() + 2}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -482,21 +396,12 @@ func renderBatch(t *testing.T, results []Result) []string {
 	return out
 }
 
-func sumCache(results []Result) (hits, misses int) {
-	for _, r := range results {
-		hits += r.Stats.CacheHits
-		misses += r.Stats.CacheMisses
-	}
-	return
-}
-
 // TestRunBatchCacheFileWarmStart is the persistence property test: a
-// warm-started batch produces bit-identical optimized MIGs to the cold
-// run — only the hit/miss split may shift — and the warm run's hit rate
-// is strictly higher. A corrupted snapshot degrades to a cold cache with
+// batch warm-started from the snapshot its cold twin left behind runs no
+// exact-synthesis ladder and produces bit-identical graphs and
+// netlists. A corrupted snapshot degrades to a cold store with
 // identical graphs rather than failing the batch.
 func TestRunBatchCacheFileWarmStart(t *testing.T) {
-	d := loadDB(t)
 	rng := rand.New(rand.NewSource(71))
 	jobs := []Job{{Name: "Max", M: startMax(t)}}
 	for i := 0; i < 3; i++ {
@@ -505,36 +410,43 @@ func TestRunBatchCacheFileWarmStart(t *testing.T) {
 			M:    randomMIG(rng, 6+rng.Intn(4), 150+rng.Intn(150), 3),
 		})
 	}
-	p, _ := Preset("size")
-	p.DB = d
-	path := filepath.Join(t.TempDir(), "npn.cache")
-
-	cold, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 2, CacheFile: path})
+	p, err := Preset("size5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldGraphs := renderBatch(t, cold)
-	coldHits, coldMisses := sumCache(cold)
+	path := filepath.Join(t.TempDir(), "npn.cache")
+	run := func(store *db.OnDemand) ([]string, []string) {
+		t.Helper()
+		res, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 2, CacheFile: path, Exact5: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs := make([]string, len(res))
+		for i, r := range res {
+			graphs[i] = renderGraph(t, r.M)
+		}
+		return graphs, renderBatch(t, res)
+	}
+
+	cold := db.NewOnDemand(synth5Budget)
+	coldGraphs, coldNets := run(cold)
+	if cold.Synths() == 0 {
+		t.Fatal("cold batch learned no 5-input class")
+	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("batch did not leave a snapshot: %v", err)
 	}
 
-	warm, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 2, CacheFile: path})
-	if err != nil {
-		t.Fatal(err)
+	warm := db.NewOnDemand(synth5Budget)
+	warmGraphs, warmNets := run(warm)
+	if warm.Synths() != 0 {
+		t.Errorf("warm batch ran %d ladders, want 0 (restored %d classes, %d negative)",
+			warm.Synths(), warm.Len(), warm.NegativeLen())
 	}
-	warmGraphs := renderBatch(t, warm)
-	warmHits, warmMisses := sumCache(warm)
 	for i := range coldGraphs {
-		if warmGraphs[i] != coldGraphs[i] {
+		if warmGraphs[i] != coldGraphs[i] || warmNets[i] != coldNets[i] {
 			t.Errorf("job %s: warm-started graph differs from cold run", jobs[i].Name)
 		}
-	}
-	coldRate := float64(coldHits) / float64(coldHits+coldMisses)
-	warmRate := float64(warmHits) / float64(warmHits+warmMisses)
-	if warmRate <= coldRate {
-		t.Errorf("warm hit rate %.4f not above cold %.4f (hits %d→%d, misses %d→%d)",
-			warmRate, coldRate, coldHits, warmHits, coldMisses, warmMisses)
 	}
 
 	// Scribble over the snapshot: the next batch must start cold (logged,
@@ -542,17 +454,14 @@ func TestRunBatchCacheFileWarmStart(t *testing.T) {
 	if err := os.WriteFile(path, []byte("this is not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := RunBatch(context.Background(), p, jobs, BatchOptions{Workers: 2, CacheFile: path})
-	if err != nil {
-		t.Fatalf("batch with corrupt snapshot failed: %v", err)
-	}
-	for i, g := range renderBatch(t, recovered) {
+	recoveredGraphs, _ := run(db.NewOnDemand(synth5Budget))
+	for i, g := range recoveredGraphs {
 		if g != coldGraphs[i] {
 			t.Errorf("job %s: corrupt-snapshot run diverged from cold run", jobs[i].Name)
 		}
 	}
 	// …and it must have replaced the corrupt file with a valid snapshot.
-	if _, err := db.NewCache().LoadFile(path, d); err != nil {
+	if _, err := db.LoadSnapshotFile(path, nil, nil, db.NewOnDemand(db.OnDemandOptions{})); err != nil {
 		t.Fatalf("snapshot after corrupt warm-start is not loadable: %v", err)
 	}
 }

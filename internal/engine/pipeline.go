@@ -58,11 +58,6 @@ type Pipeline struct {
 	MaxIterations int
 	// DB supplies the minimum-MIG database; nil loads the embedded one.
 	DB *db.DB
-	// Cache is the NPN cut-cache shared by every rewrite pass of a run.
-	// When nil each Run allocates a private cache, which keeps run
-	// statistics deterministic; install a shared db.NewCache() to also
-	// reuse canonicalizations across runs and batch workers.
-	Cache *db.Cache
 	// Exact5 is the on-demand 5-input exact-synthesis store feeding the
 	// K = 5 passes ("TF5" and friends, the resyn5/size5 presets). When
 	// nil each Run allocates a private store with default budgets; share
@@ -73,8 +68,7 @@ type Pipeline struct {
 	// Workers bounds intra-graph parallelism of the rewrite passes: best
 	// cuts of independent fanout-free regions are evaluated concurrently
 	// and committed serially, so the optimized graphs are bit-identical
-	// for every value (only the cache hit/miss split can shift when
-	// workers race on the shared cache). 0 or 1 evaluates serially. This
+	// for every value. 0 or 1 evaluates serially. This
 	// is how a single large MIG saturates the machine without the logic
 	// duplication of SplitOutputs.
 	Workers int
@@ -118,8 +112,12 @@ type PipelineStats struct {
 	SizeAfter   int    `json:"size_after"`
 	DepthBefore int    `json:"depth_before"`
 	DepthAfter  int    `json:"depth_after"`
-	CacheHits   int    `json:"cache_hits"`   // summed over rewrite passes
-	CacheMisses int    `json:"cache_misses"` // summed over rewrite passes
+	// CacheHits and CacheMisses always read 0.
+	//
+	// Deprecated: the 4-input cut-cache they counted is gone; every cut
+	// resolves through db.DB.Lookup. The fields remain only so existing
+	// callers compile, and no output shows them.
+	CacheHits, CacheMisses int `json:"-"`
 	// Choice-aware extraction totals, summed over the run's extraction
 	// passes (zero for greedy-only scripts).
 	Choices      int           `json:"choices,omitempty"`
@@ -128,18 +126,10 @@ type PipelineStats struct {
 	Elapsed      time.Duration `json:"elapsed_ns"`
 }
 
-// CacheHitRate returns the fraction of NPN lookups served by the cache.
-func (s PipelineStats) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-}
-
 func (s PipelineStats) String() string {
-	return fmt.Sprintf("%s: size %d→%d, depth %d→%d, %d iterations (converged=%v), cache %.0f%% of %d, %v",
+	return fmt.Sprintf("%s: size %d→%d, depth %d→%d, %d iterations (converged=%v), %v",
 		s.Script, s.SizeBefore, s.SizeAfter, s.DepthBefore, s.DepthAfter,
-		s.Iterations, s.Converged, 100*s.CacheHitRate(), s.CacheHits+s.CacheMisses, s.Elapsed)
+		s.Iterations, s.Converged, s.Elapsed)
 }
 
 // New builds a custom pipeline over the given passes with default
@@ -367,10 +357,6 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 			return nil, PipelineStats{}, err
 		}
 	}
-	cache := p.Cache
-	if cache == nil {
-		cache = db.NewCache()
-	}
 	exact5 := p.Exact5
 	if exact5 == nil {
 		exact5 = db.NewOnDemand(db.OnDemandOptions{})
@@ -390,7 +376,7 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 		pspan.End()
 	}()
 	env := passEnv{
-		ctx: ctx, d: d, cache: cache, exact5: exact5,
+		ctx: ctx, d: d, exact5: exact5,
 		ws: rewrite.NewWorkspace(), workers: p.Workers,
 		extract: p.Extract, extractObj: p.ExtractObjective,
 	}
@@ -427,8 +413,6 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 					}
 				}
 				st.Passes = append(st.Passes, ps)
-				st.CacheHits += ps.CacheHits
-				st.CacheMisses += ps.CacheMisses
 				st.Choices += ps.Choices
 				st.ExtractSaved += ps.ExtractSaved
 				cur, size, depth = next, ps.SizeAfter, ps.DepthAfter

@@ -13,16 +13,13 @@ import (
 type ConvergeRow struct {
 	Pass        int
 	Size, Depth int
-	CacheHits   int // NPN cut-cache hits of the pass (cache shared across passes)
 }
 
 // Converge implements the closing remark of the paper's Sec. V: "In all
 // experiments, we have performed the functional hashing algorithm only
 // once. Running it several times … will likely lead to further
 // improvements." It drives a single-pass engine pipeline to its fixpoint
-// and reports the trajectory; the NPN cut-cache is shared across the
-// iterations, so later passes run mostly on cache hits. Pass 0 is the
-// starting point.
+// and reports the trajectory. Pass 0 is the starting point.
 func Converge(d *db.DB, name string, opt rewrite.Options, maxPasses int) ([]ConvergeRow, error) {
 	spec, ok := benchByName(name)
 	if !ok {
@@ -42,10 +39,7 @@ func Converge(d *db.DB, name string, opt rewrite.Options, maxPasses int) ([]Conv
 	}
 	rows := []ConvergeRow{{Pass: 0, Size: m.Size(), Depth: m.Depth()}}
 	for _, ps := range st.Passes {
-		rows = append(rows, ConvergeRow{
-			Pass: ps.Iteration, Size: ps.SizeAfter, Depth: ps.DepthAfter,
-			CacheHits: ps.CacheHits,
-		})
+		rows = append(rows, ConvergeRow{Pass: ps.Iteration, Size: ps.SizeAfter, Depth: ps.DepthAfter})
 	}
 	return rows, nil
 }
@@ -54,10 +48,10 @@ func Converge(d *db.DB, name string, opt rewrite.Options, maxPasses int) ([]Conv
 func FormatConverge(name, variant string, rows []ConvergeRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s, repeated %s:\n", name, variant)
-	fmt.Fprintf(&b, "%-5s %8s %6s %8s %10s\n", "pass", "size", "depth", "ratio", "cache-hit")
+	fmt.Fprintf(&b, "%-5s %8s %6s %8s\n", "pass", "size", "depth", "ratio")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-5d %8d %6d %8.3f %10d\n", r.Pass, r.Size, r.Depth,
-			float64(r.Size)/float64(rows[0].Size), r.CacheHits)
+		fmt.Fprintf(&b, "%-5d %8d %6d %8.3f\n", r.Pass, r.Size, r.Depth,
+			float64(r.Size)/float64(rows[0].Size))
 	}
 	return b.String()
 }

@@ -5,8 +5,8 @@
 //
 // The paper's entire claim is a QoR trajectory; this package makes the
 // repository's own trajectory durable and enforceable. A Record is one
-// circuit optimized by one script: the metric triple, the pass/cache/
-// synthesis breakdown explaining it, and Provenance (git SHA, timestamp,
+// circuit optimized by one script: the metric triple, the pass/synthesis
+// breakdown explaining it, and Provenance (git SHA, timestamp,
 // host os/arch, GOMAXPROCS from the producing build via
 // runtime/debug.ReadBuildInfo) pinning where the number came from.
 // Records with one Run ID form a run; a history is any concatenation of

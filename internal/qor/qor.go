@@ -17,7 +17,7 @@ const SchemaVersion = 1
 
 // Record is one quality-of-results measurement: one circuit optimized by
 // one script, with the metrics the whole repository exists to move
-// (gates, depth, runtime), the pass/cache/synthesis breakdown explaining
+// (gates, depth, runtime), the pass/synthesis breakdown explaining
 // them, and the provenance pinning where the number came from. Records
 // are the unit of the append-only trend store and of regression gating.
 type Record struct {
@@ -39,11 +39,11 @@ type Record struct {
 	Runtime time.Duration `json:"runtime_ns"`
 
 	// Where the result came from: script rounds, per-pass wall clock,
-	// cut-cache traffic, 5-input synthesis and extraction counters.
-	Iterations  int        `json:"iterations,omitempty"`
-	Passes      []PassTime `json:"passes,omitempty"`
-	CacheHits   int        `json:"cache_hits,omitempty"`
-	CacheMisses int        `json:"cache_misses,omitempty"`
+	// 5-input synthesis and extraction counters. (Records written before
+	// the 4-input cut-cache was removed also carry cache_hits and
+	// cache_misses; readers ignore them.)
+	Iterations int        `json:"iterations,omitempty"`
+	Passes     []PassTime `json:"passes,omitempty"`
 	// Exact5Synths/Exact5Timeouts are run-level counters (the on-demand
 	// store is shared by the whole batch); they ride on every record of
 	// the run unchanged.
@@ -137,8 +137,6 @@ func FromResult(run, script string, r engine.Result, prov Provenance) (Record, b
 		Depth:          r.Stats.DepthAfter,
 		Runtime:        r.Stats.Elapsed,
 		Iterations:     r.Stats.Iterations,
-		CacheHits:      r.Stats.CacheHits,
-		CacheMisses:    r.Stats.CacheMisses,
 		ExtractChoices: r.Stats.Choices,
 		ExtractSaved:   r.Stats.ExtractSaved,
 		Provenance:     prov,

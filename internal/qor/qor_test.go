@@ -42,7 +42,7 @@ func TestFromResult(t *testing.T) {
 		Name: "Adder",
 		Stats: engine.PipelineStats{
 			Script: "resyn", SizeAfter: 100, DepthAfter: 12, Elapsed: 3 * time.Second,
-			Iterations: 2, CacheHits: 10, CacheMisses: 5,
+			Iterations: 2,
 			Passes: []engine.PassStats{
 				{Name: "TF", Elapsed: time.Second},
 				{Name: "BF", Elapsed: time.Second},
@@ -96,13 +96,20 @@ func TestReadSkipsMalformedAndUnknownSchema(t *testing.T) {
 	}
 	buf.WriteString("this is not json\n")
 	buf.WriteString(`{"schema_version": 99, "run": "r9", "circuit": "Future", "script": "resyn"}` + "\n")
+	// A record written before the cut-cache was removed carries counters
+	// the schema no longer has; it is still a valid record.
+	buf.WriteString(`{"schema_version": 1, "run": "r0", "circuit": "Max", "script": "resyn", "gates": 2865, "depth": 192, ` +
+		`"runtime_ns": 1000, "iterations": 3, "cache_hits": 41000, "cache_misses": 900}` + "\n")
 	buf.WriteString(`{"schema_version": 1, "run": "torn", "circ`) // torn tail, no newline
 	got, stats, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Circuit != "Adder" {
-		t.Fatalf("survivors = %+v, want just Adder", got)
+	if len(got) != 2 || got[0].Circuit != "Adder" || got[1].Circuit != "Max" {
+		t.Fatalf("survivors = %+v, want Adder and Max", got)
+	}
+	if got[1].Gates != 2865 || got[1].Depth != 192 || got[1].Iterations != 3 {
+		t.Errorf("legacy record read as %+v", got[1])
 	}
 	if stats.Skipped != 3 {
 		t.Errorf("skipped = %d, want 3 (malformed, future schema, torn tail)", stats.Skipped)

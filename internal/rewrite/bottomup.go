@@ -56,7 +56,7 @@ func (r *rewriter) runBottomUp() {
 			if _, ok := r.coneAdmissible(v, leaves, st); !ok {
 				continue
 			}
-			e, tr := r.lookup(c, st)
+			e, tr := r.lookup(c)
 			if e == nil {
 				continue
 			}

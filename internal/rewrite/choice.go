@@ -92,7 +92,7 @@ func (r *rewriter) recordChoices(v mig.ID, st *evalState) {
 		if !ok {
 			continue
 		}
-		e, tr := r.lookup(c, st)
+		e, tr := r.lookup(c)
 		if e == nil {
 			continue
 		}

@@ -21,8 +21,8 @@
 //
 // Role in the functional-hashing flow: this package is the flow. It
 // consumes cuts from internal/cut, canonicalization + database lookups
-// through internal/db (optionally memoized by a db.Cache), and builds the
-// optimized graph through internal/mig's structural hashing. At K = 5,
+// through internal/db, and builds the optimized graph through
+// internal/mig's structural hashing. At K = 5,
 // five-leaf cuts with genuine 5-variable support resolve through
 // db.OnDemand instead: the first contact with a class synthesizes its
 // minimum MIG (blocking just that lookup), Options.Ctx cancels in-flight
@@ -34,8 +34,8 @@
 // Concurrency contract: Run never modifies the input graph, so concurrent
 // Run calls on the same input are safe as long as each has a private
 // Workspace (Options.Workspace; one is allocated when nil). The database
-// is immutable and a db.Cache is concurrency-safe, so both may be shared
-// freely across runs. Inside one run, Options.Workers > 1 parallelizes
+// is immutable and a db.OnDemand is concurrency-safe, so both may be
+// shared freely across runs. Inside one run, Options.Workers > 1 parallelizes
 // the evaluation phase over fanout-free regions — each worker owns an
 // evalState slot of the Workspace and writes only the decision memos of
 // nodes it claimed — while the commit phase stays serial, which is what

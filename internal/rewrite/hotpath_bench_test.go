@@ -19,7 +19,6 @@ import (
 
 	"mighash/internal/circuits"
 	"mighash/internal/cut"
-	"mighash/internal/db"
 	"mighash/internal/mig"
 )
 
@@ -113,15 +112,12 @@ func BenchmarkRewriteHotPathCutTT(b *testing.B) {
 // BenchmarkRewriteHotPathBestCutLoop drives the steady-state cut-
 // evaluation loop — cone analysis, admissibility, NPN lookup, candidate
 // selection — over every live gate. This is the loop the pass spends its
-// time in; with the workspace warm and the cache populated it must report
-// ~0 allocs/op.
+// time in; with the workspace warm it must report ~0 allocs/op.
 func BenchmarkRewriteHotPathBestCutLoop(b *testing.B) {
 	m := benchGraph(b)
-	opt := TF
-	opt.Cache = db.NewCache()
-	r := newBenchRewriter(b, m, opt)
+	r := newBenchRewriter(b, m, TF)
 	st := &r.ws.eval[0]
-	// Warm the NPN cache so iterations measure the steady state.
+	// Warm the scratch state so iterations measure the steady state.
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
 		r.bestCut(mig.ID(id), st)
 	}
@@ -165,10 +161,9 @@ func benchPass(b *testing.B, workers int) {
 	m := benchGraph(b)
 	d := loadDB(b)
 	opt := TF
-	opt.Cache = db.NewCache()
 	opt.Workspace = NewWorkspace()
 	opt.Workers = workers
-	Run(m, d, opt) // warm workspace and cache
+	Run(m, d, opt) // warm workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,12 +179,10 @@ func BenchmarkRewriteHotPathPassParallel(b *testing.B) { benchPass(b, 8) }
 func TestBestCutLoopSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m := randomMIG(rng, 10, 300, 3)
-	opt := TF
-	opt.Cache = db.NewCache()
-	r := newBenchRewriter(t, m, opt)
+	r := newBenchRewriter(t, m, TF)
 	st := &r.ws.eval[0]
 	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
-		r.bestCut(mig.ID(id), st) // warm cache and scratch
+		r.bestCut(mig.ID(id), st) // warm scratch
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
@@ -236,7 +229,6 @@ func TestParallelRewriteDeterministic(t *testing.T) {
 			var refText string
 			for _, workers := range []int{1, 2, 8} {
 				opt := v.opt
-				opt.Cache = db.NewCache()
 				opt.Workspace = NewWorkspace()
 				opt.Workers = workers
 				got, st := Run(m, d, opt)
@@ -284,24 +276,22 @@ func TestParallelRewriteDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelRewriteSharedWorkspaceSequence reuses one workspace and one
-// cache across a mixed sequence of serial and parallel passes, mimicking
+// TestParallelRewriteSharedWorkspaceSequence reuses one workspace across
+// a mixed sequence of serial and parallel passes, mimicking
 // a pipeline run, and checks every result against a fresh-state run.
 func TestParallelRewriteSharedWorkspaceSequence(t *testing.T) {
 	d := loadDB(t)
 	rng := rand.New(rand.NewSource(47))
 	ws := NewWorkspace()
-	cache := db.NewCache()
 	for round := 0; round < 6; round++ {
 		m := randomMIG(rng, 8+rng.Intn(6), 100+rng.Intn(200), 2)
 		opt := TF
 		opt.Workspace = ws
-		opt.Cache = cache
 		opt.Workers = 1 + rng.Intn(4)
 		got, _ := Run(m, d, opt)
 		want, _ := Run(m, d, TF)
 		if writeText(t, got) != writeText(t, want) {
-			t.Fatalf("round %d: workspace/cache reuse changed the result", round)
+			t.Fatalf("round %d: workspace reuse changed the result", round)
 		}
 	}
 }

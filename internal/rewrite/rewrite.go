@@ -35,13 +35,6 @@ type Options struct {
 	// ablation benchmarks.
 	AllowZeroGain bool
 
-	// Cache, when non-nil, memoizes the NPN canonicalization + database
-	// lookup of every cut function through a concurrency-safe sharded map.
-	// One cache can be shared across passes and across goroutines (the
-	// engine's pipelines and batch runner do both); hits and misses of
-	// this pass are reported in Stats.
-	Cache *db.Cache
-
 	// K selects the functional-hashing cut width: 4 (the paper's setting,
 	// default) or 5. At K = 5 enumeration additionally yields five-leaf
 	// cuts whose classes resolve through the on-demand exact-synthesis
@@ -65,10 +58,7 @@ type Options struct {
 	// best-cut evaluation is fanned out over independent fanout-free
 	// regions on a worker pool, then committed serially in topological
 	// order, so the optimized graph is bit-identical for every worker
-	// count. 0 or 1 evaluates serially; bottom-up passes ignore it. With
-	// a shared Cache the per-pass hit/miss split may vary between runs
-	// (two workers can race to canonicalize the same function); the graph
-	// never does.
+	// count. 0 or 1 evaluates serially; bottom-up passes ignore it.
 	Workers int
 	// Workspace, when non-nil, supplies the reusable scratch state (cut
 	// arenas, cone-analysis stamps, decision memos) so repeated passes
@@ -205,8 +195,6 @@ type Stats struct {
 	SizeBefore, SizeAfter   int
 	DepthBefore, DepthAfter int
 	Replacements            int // cuts replaced by database MIGs
-	// NPN cut-cache traffic of this pass (zero when Options.Cache is nil).
-	CacheHits, CacheMisses int
 	// Choice-aware extraction (zero unless Options.Extract ran): the
 	// (cut, candidate) pairs recorded into the choice graph, and the
 	// gates the extracted cover saved over the pass's greedy twin (0
@@ -216,21 +204,9 @@ type Stats struct {
 	Elapsed      time.Duration
 }
 
-// CacheHitRate returns the fraction of this pass's database lookups
-// served by the NPN cut-cache, or 0 when no cache was attached.
-func (s Stats) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-}
-
 func (s Stats) String() string {
 	out := fmt.Sprintf("%s: size %d→%d, depth %d→%d, %d replacements, %v",
 		s.Variant, s.SizeBefore, s.SizeAfter, s.DepthBefore, s.DepthAfter, s.Replacements, s.Elapsed)
-	if s.CacheHits+s.CacheMisses > 0 {
-		out += fmt.Sprintf(", cache %.0f%% of %d", 100*s.CacheHitRate(), s.CacheHits+s.CacheMisses)
-	}
 	if s.Choices > 0 {
 		out += fmt.Sprintf(", %d choices (extract saved %d)", s.Choices, s.ExtractSaved)
 	}
@@ -265,8 +241,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // evalState is the per-worker mutable state of best-cut evaluation.
 type evalState struct {
-	cone         *mig.Workspace
-	hits, misses int
+	cone *mig.Workspace
 }
 
 // prepare sizes the per-node arrays for an n-node graph, resets the
@@ -287,9 +262,6 @@ func (w *Workspace) prepare(n, workers int) {
 	clear(w.known)
 	for len(w.eval) < workers {
 		w.eval = append(w.eval, evalState{cone: mig.NewWorkspace()})
-	}
-	for i := range w.eval {
-		w.eval[i].hits, w.eval[i].misses = 0, 0
 	}
 }
 
@@ -343,10 +315,6 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 	if res == nil {
 		res = r.out.Compact()
 	}
-	for i := range ws.eval {
-		r.cacheHits += ws.eval[i].hits
-		r.cacheMisses += ws.eval[i].misses
-	}
 	// Every Stats metric is computed exactly once: the input depth falls
 	// out of the levels the depth heuristic already needed, the input size
 	// out of one workspace-backed sweep, and the result size/depth out of
@@ -364,8 +332,6 @@ func Run(m *mig.MIG, d *db.DB, opt Options) (*mig.MIG, Stats) {
 		DepthBefore:  depthBefore,
 		DepthAfter:   res.Depth(),
 		Replacements: r.replacements,
-		CacheHits:    r.cacheHits,
-		CacheMisses:  r.cacheMisses,
 		Choices:      r.choiceCount,
 		ExtractSaved: r.extractSaved,
 		Elapsed:      time.Since(start),
@@ -390,8 +356,6 @@ type rewriter struct {
 
 	levels       []int // level of every node in out (maintained on creation)
 	replacements int
-
-	cacheHits, cacheMisses int // this pass's NPN cut-cache traffic
 
 	roots []mig.ID // scheduling partition of the last evaluateAll
 	// Choice mode (Options.Extract): the chosen compacted result — Run
@@ -450,22 +414,14 @@ type transformRef struct {
 // instantiation data, or nil when the class is absent. The function comes
 // straight off the cut — maintained incrementally during enumeration — so
 // no cone is re-simulated. Cuts of at most four leaves resolve through
-// the precomputed 4-input database (memoized by Options.Cache); at
-// K = 5, five-leaf cuts resolve through — and are learned by — the
-// on-demand exact-synthesis store.
-func (r *rewriter) lookup(c *cut.Cut, st *evalState) (*db.Entry, transformRef) {
+// the precomputed 4-input database; at K = 5, five-leaf cuts resolve
+// through — and are learned by — the on-demand exact-synthesis store.
+func (r *rewriter) lookup(c *cut.Cut) (*db.Entry, transformRef) {
 	if c.N == 5 {
 		return r.lookup5(c)
 	}
 	f := tt.TT{Bits: uint64(uint16(c.TT)), N: 4}
-	e, t, ok, hit := r.d.LookupCached(f, r.opt.Cache)
-	if r.opt.Cache != nil {
-		if hit {
-			st.hits++
-		} else {
-			st.misses++
-		}
-	}
+	e, t, ok := r.d.Lookup(f)
 	if !ok {
 		return nil, transformRef{}
 	}
@@ -587,7 +543,7 @@ func (r *rewriter) bestCut(v mig.ID, st *evalState) (best candidateCut, found bo
 		if !ok {
 			continue
 		}
-		e, tr := r.lookup(c, st)
+		e, tr := r.lookup(c)
 		if e == nil {
 			continue
 		}

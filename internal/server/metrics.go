@@ -40,8 +40,6 @@ type metrics struct {
 	gatesIn    atomic.Int64 // summed input sizes of completed jobs
 	gatesOut   atomic.Int64 // summed optimized sizes of completed jobs
 	passes     atomic.Int64 // executed pipeline passes
-	cacheHits  atomic.Int64 // NPN cut-cache hits, summed over jobs
-	cacheMiss  atomic.Int64 // NPN cut-cache misses, summed over jobs
 	// Choice-aware extraction traffic, summed over completed jobs.
 	extractChoices atomic.Int64 // recorded (cut, candidate) choices
 	extractSaved   atomic.Int64 // gates saved over the greedy twins
@@ -88,8 +86,6 @@ func (m *metrics) observe(results []engine.Result) {
 		m.gatesIn.Add(int64(r.Stats.SizeBefore))
 		m.gatesOut.Add(int64(r.Stats.SizeAfter))
 		m.passes.Add(int64(len(r.Stats.Passes)))
-		m.cacheHits.Add(int64(r.Stats.CacheHits))
-		m.cacheMiss.Add(int64(r.Stats.CacheMisses))
 		m.extractChoices.Add(int64(r.Stats.Choices))
 		m.extractSaved.Add(int64(r.Stats.ExtractSaved))
 	}
@@ -113,16 +109,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"migserve_input_gates_total":       m.gatesIn.Load(),
 		"migserve_output_gates_total":      m.gatesOut.Load(),
 		"migserve_passes_total":            m.passes.Load(),
-		"migserve_npn_cache_hits_total":    m.cacheHits.Load(),
-		"migserve_npn_cache_misses_total":  m.cacheMiss.Load(),
 		"migserve_uptime_seconds":          int64(time.Since(m.start).Seconds()),
 		"migserve_max_concurrent_jobs":     int64(s.cfg.MaxConcurrent),
 		"migserve_max_body_bytes":          s.cfg.MaxBodyBytes,
 	}
-	if s.cache != nil {
-		// The live entry count is a gauge sampled at scrape time; the
-		// snapshot counters only move when cache persistence is on.
-		vals["migserve_npn_cache_entries"] = int64(s.cache.Len())
+	if s.cfg.CacheFile != "" {
 		vals["migserve_cache_restored_entries"] = m.cacheRestored.Load()
 		vals["migserve_cache_snapshot_total"] = m.snapshots.Load()
 		vals["migserve_cache_snapshot_errors_total"] = m.snapshotErrors.Load()
