@@ -1,6 +1,9 @@
 // Command migpipe drives the batch-optimization engine: it runs a named
 // pass script over the benchmark suite (or one MIG file) on a bounded
 // worker pool and reports per-circuit statistics, optionally as JSON.
+// With one job, -out writes the optimized graph: BENCH (with the MAJ
+// extension) for a .bench file, DOT for .dot, the text format of
+// internal/mig otherwise.
 //
 // Usage:
 //
@@ -9,6 +12,8 @@
 //	migpipe -script resyn -benchmarks Sine,Max -verify sat
 //	migpipe -script resyn -verify sim -json       # differential harness, machine-readable
 //	migpipe -script BF -in circuit.bench -split   # one job per output cone
+//	migpipe -script TFD -in circuit.bench -out optimized.bench
+//	migpipe -script BF -benchmarks Adder -out adder.bench -verify sat
 //	migpipe -script resyn -in big.bench -workers 8  # one graph: FFR-parallel rewriting
 //	migpipe -script resyn -k 5                # same script, 5-input functional hashing
 //	migpipe -script resyn -extract            # choice-aware rewriting + global extraction
@@ -38,8 +43,9 @@
 // -cachefile persists the learned classes: the store is warm-started
 // from the snapshot at that path (when it exists) and saved back after
 // the run, so a warm rerun re-synthesizes nothing and produces
-// bit-identical graphs. -k 5 maps each preset to its 5-input variant
-// (resyn→resyn5, size→size5, TF→TF5, …).
+// bit-identical graphs. -k 5 maps each script to its 5-input variant
+// and -extract to its choice-aware one (resyn→resyn5 or resyn-x,
+// TF→TF5 or TFx; see engine.WidenScript).
 //
 // With -trace the whole run is recorded as Chrome trace-event JSON: one
 // span per job, pipeline, iteration and pass, down to the rewrite phases
@@ -191,6 +197,7 @@ func main() {
 		synthConfl = flag.Int64("synth-conflicts", 0, "per-class SAT conflict budget of 5-input exact synthesis (0 = default, <0 = unlimited)")
 		synthTime  = flag.Duration("synth-budget", 0, "per-class wall-clock budget of 5-input exact synthesis (0 = none; trades determinism for latency)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
+		outFile    = flag.String("out", "", "write the optimized graph of the single job to this file: BENCH for .bench, DOT for .dot, text otherwise")
 	)
 	flag.Parse()
 
@@ -210,9 +217,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *outFile != "" && *url != "" {
+		log.Fatal("-out needs a local run: remote results carry no graph")
+	}
 	jobs, err := buildJobs(*in, *split, *benchmarks, *prepare)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *outFile != "" && len(jobs) != 1 {
+		log.Fatalf("-out needs exactly one job, have %d (pick one with -benchmarks or -in)", len(jobs))
 	}
 	if len(jobs) == 1 {
 		// A single job cannot use the batch pool, so hand the workers to
@@ -447,6 +460,32 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+	if *outFile != "" {
+		if err := writeGraph(*outFile, results[0].M); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// writeGraph writes m to path: BENCH for a .bench suffix, DOT for .dot,
+// the text format otherwise.
+func writeGraph(path string, m *mig.MIG) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	switch {
+	case strings.HasSuffix(path, ".bench"):
+		err = m.WriteBENCH(f)
+	case strings.HasSuffix(path, ".dot"):
+		err = m.WriteDOT(f, "optimized")
+	default:
+		err = m.WriteText(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // buildJobs assembles the batch: the arithmetic benchmark suite, or one

@@ -1,14 +1,18 @@
 // Package engine turns the single-shot optimization passes of this
 // repository into a production-style optimization engine:
 //
-//   - Pass wraps one transformation (the five functional-hashing variants
-//     TF, T, TFD, TD and BF of internal/rewrite, their 5-input extensions
-//     TF5/T5/TFD5/TD5, plus the algebraic depth optimizer of
-//     internal/depthopt) behind a uniform interface.
+//   - Pass wraps one transformation (a functional-hashing variant of
+//     internal/rewrite, or the algebraic depth optimizer of
+//     internal/depthopt) behind a uniform interface. Pass names are
+//     "depthopt" and the variant grammar BF | (T|TF)5?x? | (TD|TFD)5? |
+//     Txd that rewrite.ParseVariant parses ("5": 5-input cuts, "x"/"xd":
+//     choice-aware extraction), so no name is listed by hand.
 //   - Pipeline composes named passes into a script and runs the script to
 //     convergence, keeping the best graph seen and reporting per-pass
 //     statistics. Preset scripts ("resyn", "size", "depth", "resyn5", …)
-//     cover the common flows; custom scripts are built with New.
+//     are pass-name lists that cover the common flows; WidenScript
+//     derives their K = 5 and choice-aware twins ("resyn5", "resyn-x")
+//     by name. Custom scripts are built with New or NewScript.
 //     PresetNames is the single source of truth for what exists — the
 //     CLIs and GET /v1/scripts derive from it.
 //   - RunBatch optimizes many MIGs concurrently on a bounded worker pool

@@ -49,8 +49,8 @@ type passEnv struct {
 	ws      *rewrite.Workspace
 	workers int
 	// extract upgrades every top-down rewrite pass to choice-aware
-	// extraction under extractObj (Pipeline.Extract / BatchOptions /
-	// the HTTP request schema all land here).
+	// extraction under extractObj (Pipeline.Extract, which the HTTP
+	// request schema sets).
 	extract    bool
 	extractObj Objective
 }
@@ -118,40 +118,16 @@ func DepthPass(opt depthopt.Options) Pass {
 	}
 }
 
-// passRegistry maps pass script names to constructors. PassByName and
-// PresetNames both derive from this map, so a pass added here appears in
-// the scripts listing, the CLIs and every "have %v" error at once.
-func passRegistry() map[string]func() Pass {
-	return map[string]func() Pass{
-		"TF":       func() Pass { return RewritePass(rewrite.TF) },
-		"T":        func() Pass { return RewritePass(rewrite.T) },
-		"TFD":      func() Pass { return RewritePass(rewrite.TFD) },
-		"TD":       func() Pass { return RewritePass(rewrite.TD) },
-		"BF":       func() Pass { return RewritePass(rewrite.BF) },
-		"TF5":      func() Pass { return RewritePass(rewrite.TF5) },
-		"T5":       func() Pass { return RewritePass(rewrite.T5) },
-		"TFD5":     func() Pass { return RewritePass(rewrite.TFD5) },
-		"TD5":      func() Pass { return RewritePass(rewrite.TD5) },
-		"TFx":      func() Pass { return RewritePass(rewrite.TFx) },
-		"Tx":       func() Pass { return RewritePass(rewrite.Tx) },
-		"TF5x":     func() Pass { return RewritePass(rewrite.TF5x) },
-		"T5x":      func() Pass { return RewritePass(rewrite.T5x) },
-		"Txd":      func() Pass { return RewritePass(rewrite.Txd) },
-		"depthopt": func() Pass { return DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}) },
-	}
-}
-
-// PassByName resolves the script name of a pass: one of the five paper
-// variants "TF", "T", "TFD", "TD", "BF", their 5-input extensions "TF5",
-// "T5", "TFD5", "TD5" (five-leaf cuts resolved through the on-demand
-// exact-synthesis store), the choice-aware extensions "TFx", "Tx",
-// "TF5x", "T5x" and "Txd" (global extraction over a choice graph
-// instead of greedy per-cut commits), or "depthopt" (the depth
-// optimizer with its default production tuning).
+// PassByName resolves the script name of a pass: "depthopt" (the depth
+// optimizer with its default production tuning) or any variant name
+// rewrite.ParseVariant accepts, such as "TF", "TF5" or "TF5x".
 func PassByName(name string) (Pass, bool) {
-	mk, ok := passRegistry()[name]
-	if !ok {
+	if name == "depthopt" {
+		return DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}), true
+	}
+	opt, err := rewrite.ParseVariant(name)
+	if err != nil {
 		return Pass{}, false
 	}
-	return mk(), true
+	return RewritePass(opt), true
 }

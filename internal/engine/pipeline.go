@@ -76,7 +76,9 @@ type Pipeline struct {
 	// choice-aware extraction (rewrite.Options.Extract) regardless of
 	// the pass's own configuration — the way ad-hoc scripts and the HTTP
 	// request schema opt in without renaming passes. Bottom-up passes
-	// are unaffected. Prefer the "-x" presets for the curated scripts.
+	// are unaffected; depth-preserving ones are upgraded too (TFD runs
+	// as "TFDx", which no pass name selects), so this is not the same
+	// as picking an "-x" preset.
 	Extract bool
 	// ExtractObjective selects the extraction objective when Extract is
 	// set (default ObjectiveSize).
@@ -151,171 +153,114 @@ func NewScript(name string, passNames ...string) (*Pipeline, error) {
 	return p, nil
 }
 
-// presets are the named scripts shipped with the engine.
-func presets() map[string]func() *Pipeline {
-	return map[string]func() *Pipeline{
+// presets are the named scripts shipped with the engine, spelled as
+// pass names. A preset "base" may have a K = 5 twin "base5" and a
+// choice-aware twin "base-x" (see WidenScript).
+func presets() map[string]*Pipeline {
+	// The depth scripts give the depth optimizer a larger size budget
+	// than its default tuning.
+	deepDepthopt := DepthPass(depthopt.Options{SizeFactor: 8, MaxPasses: 40})
+	return map[string]*Pipeline{
 		// resyn interleaves cheap and aggressive size passes with a
 		// budgeted depth restructuring, in the spirit of ABC's resyn
 		// scripts and the paper's closing remark on repeated hashing.
-		"resyn": func() *Pipeline {
-			return &Pipeline{
-				Name: "resyn",
-				Passes: []Pass{
-					RewritePass(rewrite.TF),
-					DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}),
-					RewritePass(rewrite.BF),
-					RewritePass(rewrite.TFD),
-				},
-			}
-		},
-		// size runs the strongest size variant to fixpoint.
-		"size": func() *Pipeline {
-			return &Pipeline{Name: "size", Passes: []Pass{RewritePass(rewrite.BF)}}
-		},
+		"resyn": {Passes: passes("TF", "depthopt", "BF", "TFD")},
+		// resyn5 is resyn with a trailing K = 5 hashing pass. Rewrite
+		// passes never grow the graph, so a resyn5 round is never worse
+		// than the resyn round it extends (the exact5-smoke CI job pins
+		// this on the suite).
+		"resyn5": {Passes: passes("TF", "depthopt", "BF", "TFD", "TF5")},
+		// resyn-x is resyn5 with the greedy TF and TF5 passes upgraded to
+		// choice-aware extraction, which is never worse than its greedy
+		// twin, so a resyn-x round is never worse than a resyn5 round
+		// (the extract-smoke CI job pins this on the suite).
+		"resyn-x": {Passes: passes("TFx", "depthopt", "BF", "TFD", "TF5x")},
+		// size runs the strongest size variant to fixpoint; size5 adds
+		// the K = 5 pass.
+		"size":  {Passes: passes("BF")},
+		"size5": {Passes: passes("BF", "TF5")},
 		// depth alternates the depth optimizer with depth-preserving
-		// hashing to recover the size it spends.
-		"depth": func() *Pipeline {
-			return &Pipeline{
-				Name:      "depth",
-				Objective: ObjectiveDepth,
-				Passes: []Pass{
-					DepthPass(depthopt.Options{SizeFactor: 8, MaxPasses: 40}),
-					RewritePass(rewrite.TD),
-				},
-			}
-		},
+		// hashing to recover the size it spends; depth-x inserts a
+		// depth-objective extraction between the two.
+		"depth":   {Objective: ObjectiveDepth, Passes: append([]Pass{deepDepthopt}, passes("TD")...)},
+		"depth-x": {Objective: ObjectiveDepth, Passes: append([]Pass{deepDepthopt}, passes("Txd", "TD")...)},
 		// quick is one TF pass: the cheapest useful cleanup.
-		"quick": func() *Pipeline {
-			return &Pipeline{Name: "quick", Passes: []Pass{RewritePass(rewrite.TF)}, MaxIterations: 1}
-		},
-		// resyn5 is resyn with a trailing K = 5 hashing pass: the same
-		// rounds, then five-leaf cuts resolved through the on-demand
-		// exact-synthesis store. Rewrite passes never grow the graph, so
-		// a resyn5 round is never worse than the resyn round it extends
-		// (the exact5-smoke CI job pins this on the suite).
-		"resyn5": func() *Pipeline {
-			return &Pipeline{
-				Name: "resyn5",
-				Passes: []Pass{
-					RewritePass(rewrite.TF),
-					DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}),
-					RewritePass(rewrite.BF),
-					RewritePass(rewrite.TFD),
-					RewritePass(rewrite.TF5),
-				},
-			}
-		},
-		// size5 extends the strongest size script with the K = 5 pass.
-		"size5": func() *Pipeline {
-			return &Pipeline{Name: "size5", Passes: []Pass{
-				RewritePass(rewrite.BF),
-				RewritePass(rewrite.TF5),
-			}}
-		},
-		// resyn-x is resyn5 with the greedy top-down passes upgraded to
-		// choice-aware extraction: the same rounds, but the TF and TF5
-		// passes record full candidate menus and commit a globally
-		// selected cover (never worse than their greedy twins, so a
-		// resyn-x round is never worse than the resyn5 round it mirrors;
-		// the extract-smoke CI job pins this on the suite).
-		"resyn-x": func() *Pipeline {
-			return &Pipeline{
-				Name: "resyn-x",
-				Passes: []Pass{
-					RewritePass(rewrite.TFx),
-					DepthPass(depthopt.Options{SizeFactor: 1.2, MaxPasses: 10}),
-					RewritePass(rewrite.BF),
-					RewritePass(rewrite.TFD),
-					RewritePass(rewrite.TF5x),
-				},
-			}
-		},
-		// depth-x inserts a depth-objective extraction between the depth
-		// optimizer and the depth-preserving recovery pass.
-		"depth-x": func() *Pipeline {
-			return &Pipeline{
-				Name:      "depth-x",
-				Objective: ObjectiveDepth,
-				Passes: []Pass{
-					DepthPass(depthopt.Options{SizeFactor: 8, MaxPasses: 40}),
-					RewritePass(rewrite.Txd),
-					RewritePass(rewrite.TD),
-				},
-			}
-		},
+		"quick": {Passes: passes("TF"), MaxIterations: 1},
 	}
 }
 
-// PresetVariant names the widened twins of a base preset: the K = 5
-// extension and the choice-aware extraction script. Empty fields mean
-// the preset has no such twin.
-type PresetVariant struct {
-	Five    string
-	Extract string
-}
-
-// PresetVariants is the single source of truth for mapping base presets
-// to their twins; the CLIs' -k 5 and -extract flags and the HTTP
-// service resolve through WidenScript, which consults this table.
-func PresetVariants() map[string]PresetVariant {
-	return map[string]PresetVariant{
-		"resyn": {Five: "resyn5", Extract: "resyn-x"},
-		"size":  {Five: "size5"},
-		"depth": {Extract: "depth-x"},
+// passes resolves the pass names of a preset.
+func passes(names ...string) []Pass {
+	ps := make([]Pass, len(names))
+	for i, n := range names {
+		p, ok := PassByName(n)
+		if !ok {
+			panic("engine: preset names unknown pass " + n)
+		}
+		ps[i] = p
 	}
+	return ps
 }
 
 // WidenScript maps a script name to the variant selected by the cut
-// width (4 or 5) and the choice-aware extraction toggle. Presets
-// resolve through PresetVariants — an extraction twin already ends in
-// the widest pass it supports, so it subsumes k = 5 — while pass names
-// widen by suffix ("TF" → "TF5" → "TF5x"). Already-suffixed names pass
-// through. The result is validated against Preset, so the error lists
-// the valid scripts.
+// width (4 or 5) and the choice-aware extraction toggle; it never
+// narrows. A pass name is parsed, widened to K = 5 and/or extraction,
+// and rendered back ("TF" → "TF5" → "TF5x"). A preset "base", "base5"
+// or "base-x" maps to "base-x" when extraction is on or already chosen
+// (the choice-aware twin ends in the widest pass it supports, so it
+// subsumes K = 5), else to "base5" at K = 5, else to "base". A twin that
+// does not exist is an error listing the valid scripts.
 func WidenScript(script string, k int, withExtract bool) (string, error) {
-	switch k {
-	case 0, 4, 5:
-	default:
+	if k != 0 && k != 4 && k != 5 {
 		return "", fmt.Errorf("unsupported cut width %d (want 4 or 5)", k)
 	}
-	out := script
-	if v, ok := PresetVariants()[script]; ok {
-		switch {
-		case withExtract:
-			out = v.Extract
-		case k == 5:
-			out = v.Five
+	if opt, err := rewrite.ParseVariant(script); err == nil {
+		if k == 5 {
+			opt.K = 5
 		}
-		if out == "" {
-			return "", wideningError(script, withExtract)
+		opt.Extract = opt.Extract || withExtract
+		out := rewrite.VariantName(opt)
+		// Widening BF, TD or Txd names no variant: the rendered name
+		// either fails to parse or drops the widening (BF ignores x).
+		if back, err := rewrite.ParseVariant(out); err == nil && back == opt {
+			return out, nil
 		}
-	} else {
-		if k == 5 && !strings.HasSuffix(out, "5") && !strings.HasSuffix(out, "5x") {
-			out += "5"
-		}
-		if withExtract && !strings.HasSuffix(out, "x") && !strings.HasSuffix(out, "xd") {
-			out += "x"
-		}
-	}
-	if _, err := Preset(out); err != nil {
 		return "", wideningError(script, withExtract)
 	}
-	return out, nil
+	base, x := strings.CutSuffix(script, "-x")
+	base, five := strings.CutSuffix(base, "5")
+	out := base
+	switch {
+	case x || withExtract:
+		out = base + "-x"
+	case five || k == 5:
+		out = base + "5"
+	}
+	_, err := Preset(out)
+	switch {
+	case err == nil:
+		return out, nil
+	case out == script:
+		return "", err
+	}
+	return "", wideningError(script, withExtract)
 }
 
 func wideningError(script string, withExtract bool) error {
+	kind := "5-input"
 	if withExtract {
-		return fmt.Errorf("script %q has no choice-aware variant (have %v)", script, PresetNames())
+		kind = "choice-aware"
 	}
-	return fmt.Errorf("script %q has no 5-input variant (have %v)", script, PresetNames())
+	return fmt.Errorf("script %q has no %s variant (have %v)", script, kind, PresetNames())
 }
 
 // Preset returns a named script. Besides the composite scripts ("resyn",
-// "size", "depth", "quick"), every pass name accepted by PassByName is a
-// single-pass run-to-convergence script.
+// "size", "depth", "quick", …), every pass name accepted by PassByName
+// is a single-pass run-to-convergence script.
 func Preset(name string) (*Pipeline, error) {
-	if f, ok := presets()[name]; ok {
-		return f(), nil
+	if p, ok := presets()[name]; ok {
+		p.Name = name
+		return p, nil
 	}
 	if pass, ok := PassByName(name); ok {
 		return &Pipeline{Name: name, Passes: []Pass{pass}}, nil
@@ -325,13 +270,9 @@ func Preset(name string) (*Pipeline, error) {
 
 // PresetNames lists every name Preset accepts, sorted. This is the
 // single source of truth for "what scripts exist": the CLIs' error
-// messages and the HTTP service's GET /v1/scripts both derive from it,
-// so a preset added here appears everywhere at once.
+// messages and the HTTP service's GET /v1/scripts both derive from it.
 func PresetNames() []string {
-	var names []string
-	for n := range passRegistry() {
-		names = append(names, n)
-	}
+	names := append(rewrite.VariantNames(), "depthopt")
 	for n := range presets() {
 		names = append(names, n)
 	}

@@ -71,6 +71,17 @@ func TestWidenScript(t *testing.T) {
 		{"Txd", 0, true, "Txd"},
 		{"TD", 0, true, ""}, // no depth-preserving extraction variant
 		{"resyn", 6, false, ""},
+		// A widened preset keeps its base: the choice-aware twin wins
+		// over K = 5 however the request reaches it.
+		{"resyn5", 0, true, "resyn-x"},
+		{"resyn-x", 5, false, "resyn-x"},
+		{"resyn-x", 5, true, "resyn-x"},
+		{"BF", 0, true, ""}, // the bottom-up pass takes no suffix
+		{"BF", 5, false, ""},
+		{"Txd", 5, false, ""},
+		{"depthopt", 0, false, "depthopt"},
+		{"depthopt", 5, false, ""},
+		{"nope", 0, false, ""},
 	} {
 		got, err := WidenScript(tc.script, tc.k, tc.extract)
 		if tc.want == "" {
@@ -89,16 +100,37 @@ func TestWidenScript(t *testing.T) {
 	}
 }
 
-// TestPresetVariantsResolve: every twin named by the table is a real
-// preset, and every base is too.
+// TestPresetVariantsResolve pins the twins WidenScript derives for the
+// composite presets by the naming rule base → base5 / base-x: every
+// derived twin is a real preset, and no other twin exists.
 func TestPresetVariantsResolve(t *testing.T) {
-	for base, v := range PresetVariants() {
-		for _, name := range []string{base, v.Five, v.Extract} {
-			if name == "" {
-				continue
-			}
-			if _, err := Preset(name); err != nil {
-				t.Errorf("PresetVariants names %q: %v", name, err)
+	want := map[string][2]string{ // preset → {K = 5 twin, choice-aware twin}
+		"resyn":   {"resyn5", "resyn-x"},
+		"resyn5":  {"resyn5", "resyn-x"},
+		"resyn-x": {"resyn-x", "resyn-x"},
+		"size":    {"size5", ""},
+		"size5":   {"size5", ""},
+		"depth":   {"", "depth-x"},
+		"depth-x": {"depth-x", "depth-x"},
+		"quick":   {"", ""},
+	}
+	for _, name := range PresetNames() {
+		if _, isPass := PassByName(name); isPass {
+			continue
+		}
+		tw, ok := want[name]
+		if !ok {
+			t.Errorf("preset %q missing from the twin table", name)
+			continue
+		}
+		five, _ := WidenScript(name, 5, false)
+		x, _ := WidenScript(name, 0, true)
+		if five != tw[0] || x != tw[1] {
+			t.Errorf("%s widens to (%q, %q), want (%q, %q)", name, five, x, tw[0], tw[1])
+		}
+		for _, twin := range []string{five, x} {
+			if _, err := Preset(twin); twin != "" && err != nil {
+				t.Errorf("%s widens to %q: %v", name, twin, err)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mighash/internal/extract"
 	"mighash/internal/mig"
 	"mighash/internal/tt"
 )
@@ -25,9 +26,9 @@ var choiceVariants = []struct {
 	name string
 	x, g Options
 }{
-	{"TFx", TFx, TF},
-	{"Tx", Tx, T},
-	{"Txd", Txd, T},
+	{"TFx", mustVariant("TFx"), TF},
+	{"Tx", mustVariant("Tx"), T},
+	{"Txd", mustVariant("Txd"), T},
 }
 
 // TestChoicePreservesFunction: choice-aware passes are sound (exhaustive
@@ -70,7 +71,7 @@ func TestChoiceDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 6; round++ {
 		m := randomMIG(rng, 8+rng.Intn(4), 120+rng.Intn(120), 3)
-		opt := TFx
+		opt := mustVariant("TFx")
 		opt.Workers = 1
 		base, bst := Run(m, d, opt)
 		baseText := renderMIG(t, base)
@@ -100,7 +101,7 @@ func TestChoiceRecoversOptimumOnSingleCone(t *testing.T) {
 		if m.Size() <= d.Size(f) {
 			continue
 		}
-		got, st := Run(m, d, Tx)
+		got, st := Run(m, d, mustVariant("Tx"))
 		if want := d.Size(f); st.SizeAfter != want {
 			t.Errorf("f=%v: choice-aware pass reached size %d, optimum %d", f, st.SizeAfter, want)
 		}
@@ -117,7 +118,11 @@ func TestChoiceVariantNames(t *testing.T) {
 		opt  Options
 		want string
 	}{
-		{TFx, "TFx"}, {Tx, "Tx"}, {TF5x, "TF5x"}, {T5x, "T5x"}, {Txd, "Txd"},
+		{Options{FFR: true, Extract: true}, "TFx"},
+		{Options{Extract: true}, "Tx"},
+		{Options{FFR: true, K: 5, Extract: true}, "TF5x"},
+		{Options{K: 5, Extract: true}, "T5x"},
+		{Options{Extract: true, ExtractObjective: extract.Depth}, "Txd"},
 	} {
 		if got := VariantName(tc.opt); got != tc.want {
 			t.Errorf("VariantName = %q, want %q", got, tc.want)

@@ -2,14 +2,15 @@
 // optimization by functional hashing (Sec. IV). Every K-feasible cut of
 // the graph is NPN-canonicalized and, when profitable, replaced by the
 // minimum MIG of its class — precomputed for K = 4, learned on demand
-// for K = 5 (Options.K; the TF5/T5/TFD5/TD5 variants).
+// for K = 5 (Options.K; the "5" variants such as TF5).
 //
 // Both traversal orders of the paper are provided — the top-down greedy
 // Algorithm 1 and the bottom-up dynamic-programming Algorithm 2 — together
 // with the two orthogonal options discussed in Sec. IV: restricting the
 // rewriting to fanout-free regions (Sec. IV-C) and the depth-preserving
 // heuristic. The five variant acronyms of the experimental section (TF, T,
-// TFD, TD, BF) are predefined.
+// TFD, TD, BF) are predefined; VariantName and ParseVariant map between
+// options and names, including the "5" and "x"/"xd" extensions.
 //
 // The hot path — cut enumeration, cone analysis and NPN lookup — runs
 // allocation-free in the steady state: cuts carry their truth tables (so

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"mighash/internal/cut"
@@ -103,32 +104,10 @@ var (
 	BF  = Options{BottomUp: true, FFR: true}
 )
 
-// The K = 5 extensions of the top-down variants (the bottom-up variant
-// stays at the paper's width): same traversal, five-leaf cuts resolved
-// through the on-demand store.
-var (
-	TF5  = Options{FFR: true, K: 5}
-	T5   = Options{K: 5}
-	TFD5 = Options{FFR: true, DepthPreserve: true, K: 5}
-	TD5  = Options{DepthPreserve: true, K: 5}
-)
-
-// The choice-aware extensions: same cut evaluation as their greedy
-// twins, but replacements are selected by global extraction over the
-// full choice graph instead of cut by cut. Txd extracts under the depth
-// objective.
-var (
-	TFx  = Options{FFR: true, Extract: true}
-	Tx   = Options{Extract: true}
-	TF5x = Options{FFR: true, K: 5, Extract: true}
-	T5x  = Options{K: 5, Extract: true}
-	Txd  = Options{Extract: true, ExtractObjective: extract.Depth}
-)
-
 // VariantName returns the paper's acronym for o — suffixed with "5" for
 // the K = 5 extensions and "x" (or "xd" under the depth objective) for
 // the choice-aware ones — or a descriptive string for non-paper
-// configurations.
+// configurations. ParseVariant is its inverse on the pass names.
 func VariantName(o Options) string {
 	name := baseVariantName(o)
 	if o.K == 5 {
@@ -142,6 +121,63 @@ func VariantName(o Options) string {
 		}
 	}
 	return name
+}
+
+// ParseVariant maps a pass name back to its options. A name combines a
+// paper variant with an optional "5" (K = 5 cuts resolved through the
+// on-demand store) and an optional "x" (choice-aware extraction; "xd"
+// extracts under the depth objective). Three combinations are not
+// variants, so the accepted names are BF | (T|TF)5?x? | (TD|TFD)5? | Txd:
+// the bottom-up BF takes no suffix, the depth-preserving TD/TFD take no
+// extraction, and "xd" follows only bare T.
+func ParseVariant(name string) (Options, error) {
+	var o Options
+	base := name
+	if b, ok := strings.CutSuffix(base, "xd"); ok {
+		base, o.Extract, o.ExtractObjective = b, true, extract.Depth
+	} else if b, ok := strings.CutSuffix(base, "x"); ok {
+		base, o.Extract = b, true
+	}
+	if b, ok := strings.CutSuffix(base, "5"); ok {
+		base, o.K = b, 5
+	}
+	switch base {
+	case "T":
+	case "TF":
+		o.FFR = true
+	case "TD":
+		o.DepthPreserve = true
+	case "TFD":
+		o.FFR, o.DepthPreserve = true, true
+	case "BF":
+		o.BottomUp, o.FFR = true, true
+	default:
+		return Options{}, fmt.Errorf("rewrite: unknown variant %q", name)
+	}
+	switch {
+	case o.BottomUp && name != "BF":
+		return Options{}, fmt.Errorf("rewrite: variant %q: BF takes no suffix", name)
+	case o.DepthPreserve && o.Extract:
+		return Options{}, fmt.Errorf("rewrite: variant %q: depth-preserving variants take no extraction suffix", name)
+	case o.ExtractObjective == extract.Depth && name != "Txd":
+		return Options{}, fmt.Errorf(`rewrite: variant %q: "xd" follows only bare T`, name)
+	}
+	return o, nil
+}
+
+// VariantNames lists every name ParseVariant accepts.
+func VariantNames() []string {
+	var names []string
+	for _, base := range []string{"T", "TF", "TD", "TFD", "BF"} {
+		for _, k := range []string{"", "5"} {
+			for _, x := range []string{"", "x", "xd"} {
+				if _, err := ParseVariant(base + k + x); err == nil {
+					names = append(names, base+k+x)
+				}
+			}
+		}
+	}
+	return names
 }
 
 func baseVariantName(o Options) string {

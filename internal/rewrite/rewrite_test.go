@@ -2,6 +2,8 @@ package rewrite
 
 import (
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"mighash/internal/db"
@@ -214,6 +216,56 @@ func TestVariantNames(t *testing.T) {
 	for _, v := range variants {
 		if got := VariantName(v.opt); got != v.name {
 			t.Errorf("VariantName = %q, want %q", got, v.name)
+		}
+	}
+}
+
+// passNames are the names ParseVariant accepts: BF, (T|TF)5?x?,
+// (TD|TFD)5? and Txd.
+var passNames = []string{
+	"BF", "T", "T5", "T5x", "TD", "TD5", "TF", "TF5", "TF5x", "TFD", "TFD5", "TFx", "Tx", "Txd",
+}
+
+// mustVariant parses a pass name the grammar is known to accept.
+func mustVariant(name string) Options {
+	o, err := ParseVariant(name)
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
+// TestParseVariant pins ParseVariant as the inverse of VariantName on
+// every pass name, equal to the paper's five variables on their names,
+// and strict about the combinations that are not variants; VariantNames
+// lists exactly the pass names.
+func TestParseVariant(t *testing.T) {
+	got := VariantNames()
+	sort.Strings(got)
+	if strings.Join(got, ",") != strings.Join(passNames, ",") {
+		t.Errorf("VariantNames() = %v, want %v", got, passNames)
+	}
+	for _, name := range passNames {
+		o, err := ParseVariant(name)
+		if err != nil {
+			t.Errorf("ParseVariant(%q): %v", name, err)
+			continue
+		}
+		if got := VariantName(o); got != name {
+			t.Errorf("VariantName(ParseVariant(%q)) = %q", name, got)
+		}
+	}
+	for _, v := range variants {
+		if o, err := ParseVariant(v.name); err != nil || o != v.opt {
+			t.Errorf("ParseVariant(%q) = %+v, %v; want %+v", v.name, o, err, v.opt)
+		}
+	}
+	for _, name := range []string{
+		"", "x", "5", "B", "BFx", "BF5", "BF5x", "TDx", "TFDx", "TD5x", "TFDxd",
+		"TFxd", "T5xd", "Tdx", "T55", "Tx5", "Txdx", "tf", "depthopt",
+	} {
+		if o, err := ParseVariant(name); err == nil {
+			t.Errorf("ParseVariant(%q) = %+v, want error", name, o)
 		}
 	}
 }

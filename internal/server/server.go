@@ -422,11 +422,13 @@ type OptimizeRequest struct {
 
 // ScriptSpec selects the optimization pipeline of a request.
 type ScriptSpec struct {
-	// Script names a preset ("resyn", "size", "depth", "quick", or any
-	// single pass name). Default "resyn". Ignored when Passes is set.
+	// Script names a preset ("resyn", "size", "depth", "quick", …, or
+	// any single pass name); GET /v1/scripts lists them all. Default
+	// "resyn". Ignored when Passes is set.
 	Script string `json:"script,omitempty"`
-	// Passes builds a custom script from pass names ("TF", "T", "TFD",
-	// "TD", "BF", "depthopt"), run in order to convergence.
+	// Passes builds a custom script from pass names, run in order to
+	// convergence: "depthopt", or a variant name of the grammar
+	// BF | (T|TF)5?x? | (TD|TFD)5? | Txd ("TF", "TF5", "TFx", …).
 	Passes []string `json:"passes,omitempty"`
 	// MaxIterations caps the script rounds (default: the engine's 10).
 	MaxIterations int `json:"max_iterations,omitempty"`
@@ -434,10 +436,13 @@ type ScriptSpec struct {
 	// server's MaxWorkersPerRequest. Results are bit-identical at any
 	// value.
 	Workers int `json:"workers,omitempty"`
-	// Extract upgrades every top-down rewrite pass of the script to
-	// choice-aware extraction: candidate menus per cut, one globally
-	// selected cover, never worse than the greedy pass it replaces.
-	// Equivalent to picking an "-x" preset (e.g. "resyn-x") by name.
+	// Extract upgrades every top-down rewrite pass of the script, as
+	// written, to choice-aware extraction: candidate menus per cut, one
+	// globally selected cover, never worse than the greedy pass it
+	// replaces. The depth-preserving passes are upgraded too and no cut
+	// width changes, so this differs from the "-x" presets: script
+	// "resyn" with extract runs TFx, depthopt, BF, TFDx, while "resyn-x"
+	// runs TFx, depthopt, BF, TFD, TF5x.
 	Extract bool `json:"extract,omitempty"`
 	// ExtractObjective selects the extraction objective when Extract is
 	// set: "size" (default) or "depth".

@@ -32,6 +32,32 @@ func TestScriptsEndpointPinsPresetRegistry(t *testing.T) {
 	}
 }
 
+// TestScriptsEndpointLiteralNames pins the script namespace itself, not
+// just its agreement with the engine: the pass grammar
+// BF | (T|TF)5?x? | (TD|TFD)5? | Txd, "depthopt" and the eight presets.
+// A grammar that wrongly admitted "TFDx" or "BF5" would pass the
+// registry comparison above but fails here.
+func TestScriptsEndpointLiteralNames(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	resp, err := http.Get(hs.URL + "/v1/scripts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := decodeBody[map[string][]ScriptInfo](t, resp)
+	var got []string
+	for _, s := range out["scripts"] {
+		got = append(got, s.Name)
+	}
+	want := []string{
+		"BF", "T", "T5", "T5x", "TD", "TD5", "TF", "TF5", "TF5x", "TFD", "TFD5", "TFx", "Tx", "Txd",
+		"depth", "depth-x", "depthopt", "quick", "resyn", "resyn-x", "resyn5", "size", "size5",
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("GET /v1/scripts = %v, want %v", got, want)
+	}
+}
+
 // TestUnknownScriptListsPresets: rejecting an unknown script must name
 // the valid ones, so clients can self-correct without docs.
 func TestUnknownScriptListsPresets(t *testing.T) {

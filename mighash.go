@@ -20,7 +20,7 @@
 // on-demand 5-input hashing: Canonize5 semi-canonicalizes 5-variable
 // functions without the exhaustive transform sweep, and an Exact5Store
 // learns each class's minimum MIG by budgeted exact synthesis on first
-// contact (the TF5/T5/TFD5/TD5 variants and resyn5/size5 scripts),
+// contact (the "5" variants such as TF5, and the resyn5/size5 scripts),
 // persisting the learned database across processes. Choice-aware
 // extraction (the x-variants and the resyn-x /
 // depth-x scripts) replaces the greedy per-cut commit with a two-phase
@@ -207,15 +207,13 @@ var (
 	VariantBF  = rewrite.BF
 )
 
-// The 5-input extensions of the top-down variants: five-leaf cuts
-// resolved through the on-demand exact-synthesis store
-// (RewriteOptions.Exact5).
-var (
-	VariantTF5  = rewrite.TF5
-	VariantT5   = rewrite.T5
-	VariantTFD5 = rewrite.TFD5
-	VariantTD5  = rewrite.TD5
-)
+// ParseVariant maps a pass name to its RewriteOptions: a paper variant
+// with an optional "5" suffix (five-leaf cuts resolved through the
+// on-demand exact-synthesis store, RewriteOptions.Exact5) and an
+// optional "x" or "xd" suffix (choice-aware extraction under the size or
+// depth objective). It accepts BF | (T|TF)5?x? | (TD|TFD)5? | Txd and is
+// the inverse of the variant names reported in RewriteStats.Variant.
+var ParseVariant = rewrite.ParseVariant
 
 // Choice-aware extraction (internal/extract + internal/rewrite; beyond
 // the paper): the x-variants do not commit each profitable cut
@@ -224,8 +222,8 @@ var (
 // (e-graph extraction specialized to the rewriter). The extracted
 // result is never worse than the greedy twin on the same input, and
 // bit-identical at any worker count. RewriteOptions.Extract switches a
-// top-down variant into this mode; RewriteOptions.ExtractObjective
-// picks what the cover minimizes.
+// top-down variant into this mode (ParseVariant("TFx") and friends);
+// RewriteOptions.ExtractObjective picks what the cover minimizes.
 type ExtractObjective = extract.Objective
 
 // The two extraction objectives: gate count (the default) or output
@@ -233,16 +231,6 @@ type ExtractObjective = extract.Objective
 const (
 	ExtractSize  = extract.Size
 	ExtractDepth = extract.Depth
-)
-
-// The choice-aware (x) variants of the top-down rewriters, driven by
-// the resyn-x and depth-x preset scripts.
-var (
-	VariantTFx  = rewrite.TFx
-	VariantTx   = rewrite.Tx
-	VariantTF5x = rewrite.TF5x
-	VariantT5x  = rewrite.T5x
-	VariantTxd  = rewrite.Txd
 )
 
 // Optimize applies one functional-hashing pass, returning a fresh
@@ -317,8 +305,8 @@ var PipelineScript = engine.Preset
 // PipelineScripts lists every preset script name.
 var PipelineScripts = engine.PresetNames
 
-// PipelinePass resolves a pass by script name (TF, T, TFD, TD, BF,
-// depthopt).
+// PipelinePass resolves a pass by script name: "depthopt", or any
+// variant name ParseVariant accepts ("TF", "TF5", "TF5x", "Txd", …).
 var PipelinePass = engine.PassByName
 
 // RunBatch optimizes many MIGs concurrently on a bounded worker pool with
