@@ -15,8 +15,8 @@
 //	migpipe -script TFD -in circuit.bench -out optimized.bench
 //	migpipe -script BF -benchmarks Adder -out adder.bench -verify sat
 //	migpipe -script resyn -in big.bench -workers 8  # one graph: FFR-parallel rewriting
-//	migpipe -script resyn -k 5                # same script, 5-input functional hashing
-//	migpipe -script resyn -extract            # choice-aware rewriting + global extraction
+//	migpipe -script resyn5                    # resyn plus 5-input functional hashing
+//	migpipe -script resyn-x                   # choice-aware rewriting + global extraction
 //	migpipe -script resyn5 -cachefile npn.cache -synth-budget 2s
 //	migpipe -url http://localhost:8080 -script resyn  # optimize remotely over HTTP
 //	migpipe -script resyn5 -trace trace.json  # Chrome/Perfetto trace of the run
@@ -36,16 +36,17 @@
 // the harness statistics in its "verify" block (the sim-verify CI job
 // uploads them as BENCH_sim.json).
 //
-// With -k 5 (or a *5 script such as resyn5) functional hashing extends
-// to five-leaf cuts: their NPN classes are not precomputed but learned —
-// synthesized on first contact by the SAT engine under the budget of
-// -synth-conflicts/-synth-budget and memoized by semi-canonical class.
+// A script with 5-input passes (resyn5, size5, TF5, …) extends
+// functional hashing to five-leaf cuts: their NPN classes are not
+// precomputed but learned — synthesized on first contact by the SAT
+// engine under the budget of -synth-conflicts/-synth-budget and
+// memoized by semi-canonical class.
 // -cachefile persists the learned classes: the store is warm-started
 // from the snapshot at that path (when it exists) and saved back after
 // the run, so a warm rerun re-synthesizes nothing and produces
-// bit-identical graphs. -k 5 maps each script to its 5-input variant
-// and -extract to its choice-aware one (resyn→resyn5 or resyn-x,
-// TF→TF5 or TFx; see engine.WidenScript).
+// bit-identical graphs. The script name is the only pass selector: the
+// 5-input and choice-aware twins are scripts of their own (resyn5 and
+// resyn-x, TF5 and TFx; -scripts lists them all).
 //
 // With -trace the whole run is recorded as Chrome trace-event JSON: one
 // span per job, pipeline, iteration and pass, down to the rewrite phases
@@ -192,8 +193,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
 		url        = flag.String("url", "", "optimize remotely: base URL of a running migserve")
 		retries    = flag.Int("retries", 4, "with -url: extra attempts after a transient failure (connect error, 503, other 5xx); 0 = fail fast")
-		cutWidth   = flag.Int("k", 0, "functional-hashing cut width: 4, or 5 to map the script to its 5-input variant")
-		extractOn  = flag.Bool("extract", false, "map the script to its choice-aware variant: record candidate implementations, extract a globally best cover")
 		synthConfl = flag.Int64("synth-conflicts", 0, "per-class SAT conflict budget of 5-input exact synthesis (0 = default, <0 = unlimited)")
 		synthTime  = flag.Duration("synth-budget", 0, "per-class wall-clock budget of 5-input exact synthesis (0 = none; trades determinism for latency)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
@@ -205,15 +204,11 @@ func main() {
 		fmt.Println(strings.Join(engine.PresetNames(), "\n"))
 		return
 	}
-	scriptName, err := engine.WidenScript(*script, *cutWidth, *extractOn)
-	if err != nil {
-		log.Fatal(err)
-	}
 	simVerify, satVerify, err := verifyModes(*verify)
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := engine.Preset(scriptName)
+	p, err := engine.Preset(*script)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -261,7 +256,7 @@ func main() {
 		tracer = obs.New(obs.Options{Retain: true})
 		ctx = obs.ContextWithTracer(ctx, tracer)
 		ctx, rootSpan = obs.Start(ctx, "migpipe")
-		rootSpan.SetStr("script", scriptName)
+		rootSpan.SetStr("script", p.Name)
 	}
 	exact5 := db.NewOnDemand(db.OnDemandOptions{MaxConflicts: *synthConfl, Timeout: *synthTime})
 	opt := engine.BatchOptions{Workers: *workers, CacheFile: *cacheFile, Exact5: exact5}
@@ -279,7 +274,7 @@ func main() {
 	var results []engine.Result
 	var attempts int
 	if *url != "" {
-		results, attempts, err = runRemote(ctx, *url, scriptName, *workers, *verify, *timeout, *retries, jobs)
+		results, attempts, err = runRemote(ctx, *url, p.Name, *workers, *verify, *timeout, *retries, jobs)
 	} else {
 		results, err = engine.RunBatch(ctx, p, jobs, opt)
 	}
@@ -627,7 +622,7 @@ func verifyModes(mode string) (simV, satV bool, err error) {
 		satV = true
 	case "sim":
 		simV = true
-	case "sim+sat", "sat+sim":
+	case "sim+sat":
 		simV, satV = true, true
 	default:
 		err = fmt.Errorf(`-verify wants "sat", "sim" or "sim+sat", got %q`, mode)

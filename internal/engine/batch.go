@@ -56,12 +56,9 @@ type BatchOptions struct {
 	CacheFile string
 	// Exact5 shares one on-demand 5-input exact-synthesis store across
 	// every job, so workers learn classes for each other. When nil,
-	// RunBatch creates a batch-shared store with the Synth5 budget
+	// RunBatch creates a batch-shared store with default budgets
 	// (K = 4 scripts never touch it, so the empty store costs nothing).
 	Exact5 *db.OnDemand
-	// Synth5 tunes the per-class synthesis budget of the store RunBatch
-	// creates when Exact5 is nil. Ignored otherwise.
-	Synth5 db.OnDemandOptions
 	// Progress, when non-nil, is invoked synchronously after every pass of
 	// every job with the job index (into the jobs slice) and that pass's
 	// statistics. Calls for different jobs come from different worker
@@ -101,9 +98,9 @@ func RunBatch(ctx context.Context, p *Pipeline, jobs []Job, opt BatchOptions) ([
 	}
 	if run.Exact5 == nil {
 		// Always share one store across the batch: jobs learn 5-input
-		// classes for each other, and the caller's Synth5 budget applies
-		// with or without a cache file (K = 4 scripts never touch it).
-		run.Exact5 = db.NewOnDemand(opt.Synth5)
+		// classes for each other, with or without a cache file (K = 4
+		// scripts never touch it).
+		run.Exact5 = db.NewOnDemand(db.OnDemandOptions{})
 	}
 	if opt.CacheFile != "" {
 		if _, err := db.LoadSnapshotFile(opt.CacheFile, nil, nil, run.Exact5); err != nil && !errors.Is(err, fs.ErrNotExist) {

@@ -10,9 +10,10 @@
 //   - Pipeline composes named passes into a script and runs the script to
 //     convergence, keeping the best graph seen and reporting per-pass
 //     statistics. Preset scripts ("resyn", "size", "depth", "resyn5", …)
-//     are pass-name lists that cover the common flows; WidenScript
-//     derives their K = 5 and choice-aware twins ("resyn5", "resyn-x")
-//     by name. Custom scripts are built with New or NewScript.
+//     are pass-name lists that cover the common flows, their K = 5 and
+//     choice-aware twins ("resyn5", "resyn-x") included: the script
+//     name alone selects what runs. Custom scripts are built with New or
+//     NewScript.
 //     PresetNames is the single source of truth for what exists — the
 //     CLIs and GET /v1/scripts derive from it.
 //   - RunBatch optimizes many MIGs concurrently on a bounded worker pool
@@ -22,7 +23,7 @@
 // internal/db, whose NPN canonization and class index are dense table
 // reads, so all pipelines share it without coordination. K = 5 scripts
 // additionally share an on-demand exact-synthesis store (Pipeline.Exact5
-// / BatchOptions.Exact5, budget via BatchOptions.Synth5): 5-input classes
+// / BatchOptions.Exact5, budget via db.OnDemandOptions): 5-input classes
 // are learned once per process and fed to every worker, with the run's
 // context cancelling in-flight ladders. BatchOptions.CacheFile extends
 // the learned store across processes: the batch warm-starts it from one

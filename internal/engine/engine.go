@@ -7,7 +7,6 @@ import (
 
 	"mighash/internal/db"
 	"mighash/internal/depthopt"
-	"mighash/internal/extract"
 	"mighash/internal/mig"
 	"mighash/internal/rewrite"
 )
@@ -48,11 +47,6 @@ type passEnv struct {
 	exact5  *db.OnDemand
 	ws      *rewrite.Workspace
 	workers int
-	// extract upgrades every top-down rewrite pass to choice-aware
-	// extraction under extractObj (Pipeline.Extract, which the HTTP
-	// request schema sets).
-	extract    bool
-	extractObj Objective
 }
 
 // Pass is one named transformation step of a pipeline. The zero value is
@@ -81,12 +75,6 @@ func RewritePass(opt rewrite.Options) Pass {
 			o.Ctx = env.ctx
 			o.Workspace = env.ws
 			o.Workers = env.workers
-			if env.extract && !o.BottomUp {
-				o.Extract = true
-				if env.extractObj == ObjectiveDepth {
-					o.ExtractObjective = extract.Depth
-				}
-			}
 			res, st := rewrite.Run(m, env.d, o)
 			return res, PassStats{
 				Name:       st.Variant,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"time"
 
 	"mighash/internal/db"
@@ -72,17 +71,6 @@ type Pipeline struct {
 	// is how a single large MIG saturates the machine without the logic
 	// duplication of SplitOutputs.
 	Workers int
-	// Extract upgrades every top-down rewrite pass of the script to
-	// choice-aware extraction (rewrite.Options.Extract) regardless of
-	// the pass's own configuration — the way ad-hoc scripts and the HTTP
-	// request schema opt in without renaming passes. Bottom-up passes
-	// are unaffected; depth-preserving ones are upgraded too (TFD runs
-	// as "TFDx", which no pass name selects), so this is not the same
-	// as picking an "-x" preset.
-	Extract bool
-	// ExtractObjective selects the extraction objective when Extract is
-	// set (default ObjectiveSize).
-	ExtractObjective Objective
 	// PassCheck, when non-nil, is invoked synchronously after every
 	// executed pass with the pass name, the 1-based iteration, and the
 	// graphs before and after the pass. A non-nil error aborts the run
@@ -155,7 +143,7 @@ func NewScript(name string, passNames ...string) (*Pipeline, error) {
 
 // presets are the named scripts shipped with the engine, spelled as
 // pass names. A preset "base" may have a K = 5 twin "base5" and a
-// choice-aware twin "base-x" (see WidenScript).
+// choice-aware twin "base-x".
 func presets() map[string]*Pipeline {
 	// The depth scripts give the depth optimizer a larger size budget
 	// than its default tuning.
@@ -200,58 +188,6 @@ func passes(names ...string) []Pass {
 		ps[i] = p
 	}
 	return ps
-}
-
-// WidenScript maps a script name to the variant selected by the cut
-// width (4 or 5) and the choice-aware extraction toggle; it never
-// narrows. A pass name is parsed, widened to K = 5 and/or extraction,
-// and rendered back ("TF" → "TF5" → "TF5x"). A preset "base", "base5"
-// or "base-x" maps to "base-x" when extraction is on or already chosen
-// (the choice-aware twin ends in the widest pass it supports, so it
-// subsumes K = 5), else to "base5" at K = 5, else to "base". A twin that
-// does not exist is an error listing the valid scripts.
-func WidenScript(script string, k int, withExtract bool) (string, error) {
-	if k != 0 && k != 4 && k != 5 {
-		return "", fmt.Errorf("unsupported cut width %d (want 4 or 5)", k)
-	}
-	if opt, err := rewrite.ParseVariant(script); err == nil {
-		if k == 5 {
-			opt.K = 5
-		}
-		opt.Extract = opt.Extract || withExtract
-		out := rewrite.VariantName(opt)
-		// Widening BF, TD or Txd names no variant: the rendered name
-		// either fails to parse or drops the widening (BF ignores x).
-		if back, err := rewrite.ParseVariant(out); err == nil && back == opt {
-			return out, nil
-		}
-		return "", wideningError(script, withExtract)
-	}
-	base, x := strings.CutSuffix(script, "-x")
-	base, five := strings.CutSuffix(base, "5")
-	out := base
-	switch {
-	case x || withExtract:
-		out = base + "-x"
-	case five || k == 5:
-		out = base + "5"
-	}
-	_, err := Preset(out)
-	switch {
-	case err == nil:
-		return out, nil
-	case out == script:
-		return "", err
-	}
-	return "", wideningError(script, withExtract)
-}
-
-func wideningError(script string, withExtract bool) error {
-	kind := "5-input"
-	if withExtract {
-		kind = "choice-aware"
-	}
-	return fmt.Errorf("script %q has no %s variant (have %v)", script, kind, PresetNames())
 }
 
 // Preset returns a named script. Besides the composite scripts ("resyn",
@@ -319,7 +255,6 @@ func (p *Pipeline) RunContext(ctx context.Context, m *mig.MIG) (*mig.MIG, Pipeli
 	env := passEnv{
 		ctx: ctx, d: d, exact5: exact5,
 		ws: rewrite.NewWorkspace(), workers: p.Workers,
-		extract: p.Extract, extractObj: p.ExtractObjective,
 	}
 
 	maxIter := p.MaxIterations

@@ -71,8 +71,7 @@ func (r *rewriter) evalNode(v mig.ID, st *evalState) {
 // every candidate with non-negative gain into the node's choice menu
 // and — from the same evaluations — the exact decision bestCut would
 // have made, so the greedy twin costs no second cut loop. The twin
-// follows bestCut's policy to the letter (including the AllowZeroGain
-// and DepthPreserve gates and the first-cut-wins tie-break) and is
+// decides through bestCut's own admission rule (admit) and is
 // computed uncapped; the menu records zero-gain pairs regardless of
 // AllowZeroGain — locally neutral choices are exactly the ones global
 // sharing can turn profitable — and caps itself at Options.MaxChoices.
@@ -96,16 +95,9 @@ func (r *rewriter) recordChoices(v mig.ID, st *evalState) {
 		if e == nil {
 			continue
 		}
-		// The greedy twin, replicating bestCut over the primary entry.
-		gain := len(nodes) - e.Size()
-		if gain >= 0 && !(gain == 0 && !r.opt.AllowZeroGain) &&
-			!(r.opt.DepthPreserve && r.arrivalOf(e, tr, leaves) > r.oldLevels[v]) &&
-			!(gain == 0 && r.arrivalOf(e, tr, leaves) >= r.oldLevels[v]) {
-			cand := candidateCut{leaves: leaves, entry: e, tr: tr, gain: gain, depth: e.Depth}
-			if !found || cand.gain > best.gain ||
-				(cand.gain == best.gain && cand.depth < best.depth) {
-				best, found = cand, true
-			}
+		// The greedy twin: bestCut's decision over the primary entry.
+		if r.admit(v, leaves, len(nodes), e, tr, &best, found) {
+			found = true
 		}
 		// The menu: every candidate implementation of the class, priced
 		// at its effective cost. A candidate whose nominal size exceeds

@@ -579,25 +579,33 @@ func (r *rewriter) bestCut(v mig.ID, st *evalState) (best candidateCut, found bo
 		if !ok {
 			continue
 		}
-		e, tr := r.lookup(c)
-		if e == nil {
-			continue
-		}
-		gain := len(nodes) - e.Size()
-		if gain < 0 || (gain == 0 && !r.opt.AllowZeroGain) {
-			continue
-		}
-		if r.opt.DepthPreserve && r.arrivalOf(e, tr, leaves) > r.oldLevels[v] {
-			continue
-		}
-		if gain == 0 && r.arrivalOf(e, tr, leaves) >= r.oldLevels[v] {
-			continue // zero-gain replacements must at least reduce arrival
-		}
-		cand := candidateCut{leaves: leaves, entry: e, tr: tr, gain: gain, depth: e.Depth}
-		if !found || cand.gain > best.gain ||
-			(cand.gain == best.gain && cand.depth < best.depth) {
-			best, found = cand, true
+		if e, tr := r.lookup(c); e != nil && r.admit(v, leaves, len(nodes), e, tr, &best, found) {
+			found = true
 		}
 	}
 	return best, found
+}
+
+// admit is the greedy admission rule for replacing the cone of v, which
+// has coneSize gates, by entry e over leaves: the gain and depth gates,
+// then the first-cut-wins tie-break (higher gain, then lower depth)
+// against *best, which holds a candidate when found is set. It reports
+// whether e became the new *best. bestCut and the greedy twin of choice
+// recording both decide through it.
+func (r *rewriter) admit(v mig.ID, leaves []mig.ID, coneSize int, e *db.Entry, tr transformRef, best *candidateCut, found bool) bool {
+	gain := coneSize - e.Size()
+	if gain < 0 || (gain == 0 && !r.opt.AllowZeroGain) {
+		return false
+	}
+	if r.opt.DepthPreserve && r.arrivalOf(e, tr, leaves) > r.oldLevels[v] {
+		return false
+	}
+	if gain == 0 && r.arrivalOf(e, tr, leaves) >= r.oldLevels[v] {
+		return false // zero-gain replacements must at least reduce arrival
+	}
+	if found && (gain < best.gain || (gain == best.gain && e.Depth >= best.depth)) {
+		return false
+	}
+	*best = candidateCut{leaves: leaves, entry: e, tr: tr, gain: gain, depth: e.Depth}
+	return true
 }

@@ -436,17 +436,6 @@ type ScriptSpec struct {
 	// server's MaxWorkersPerRequest. Results are bit-identical at any
 	// value.
 	Workers int `json:"workers,omitempty"`
-	// Extract upgrades every top-down rewrite pass of the script, as
-	// written, to choice-aware extraction: candidate menus per cut, one
-	// globally selected cover, never worse than the greedy pass it
-	// replaces. The depth-preserving passes are upgraded too and no cut
-	// width changes, so this differs from the "-x" presets: script
-	// "resyn" with extract runs TFx, depthopt, BF, TFDx, while "resyn-x"
-	// runs TFx, depthopt, BF, TFD, TF5x.
-	Extract bool `json:"extract,omitempty"`
-	// ExtractObjective selects the extraction objective when Extract is
-	// set: "size" (default) or "depth".
-	ExtractObjective string `json:"extract_objective,omitempty"`
 }
 
 // BatchRequest is the body of POST /v1/optimize/batch: many netlists
@@ -544,11 +533,14 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 // decode reads the JSON request body under the server's byte cap,
-// translating the cap violation to 413 and malformed JSON to 400. It
+// translating the cap violation to 413 and malformed JSON to 400. A
+// field the request schema does not define is malformed too, so a
+// misspelled or removed field fails loudly instead of being ignored. It
 // reports whether decoding succeeded; on failure the response is written.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -647,17 +639,6 @@ func (s *Server) pipeline(spec ScriptSpec) (*engine.Pipeline, error) {
 		workers = limit
 	}
 	p.Workers = workers
-	switch spec.ExtractObjective {
-	case "":
-	case "size":
-	case "depth":
-		p.ExtractObjective = engine.ObjectiveDepth
-	default:
-		return nil, fmt.Errorf(`unknown extract_objective %q (want "size" or "depth")`, spec.ExtractObjective)
-	}
-	if spec.Extract || spec.ExtractObjective != "" {
-		p.Extract = true
-	}
 	return p, nil
 }
 

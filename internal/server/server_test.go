@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mighash/internal/circuits"
+	"mighash/internal/engine"
 	"mighash/internal/mig"
 )
 
@@ -296,14 +297,21 @@ func TestBadRequests(t *testing.T) {
 		name string
 		url  string
 		body string
+		want string // substring of the error, when set
 	}{
-		{"malformed json", "/v1/optimize", "{netlist:"},
-		{"empty netlist", "/v1/optimize", `{"netlist":""}`},
-		{"bad netlist", "/v1/optimize", `{"netlist":"x = FROB(y)"}`},
-		{"unknown script", "/v1/optimize", `{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n","script":"nope"}`},
-		{"unknown pass", "/v1/optimize", `{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n","passes":["XX"]}`},
-		{"unknown format", "/v1/optimize", `{"netlist":"INPUT(a)","format":"blif"}`},
-		{"empty batch", "/v1/optimize/batch", `{"jobs":[]}`},
+		{"malformed json", "/v1/optimize", "{netlist:", ""},
+		{"empty netlist", "/v1/optimize", `{"netlist":""}`, ""},
+		{"bad netlist", "/v1/optimize", `{"netlist":"x = FROB(y)"}`, ""},
+		{"unknown script", "/v1/optimize", `{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n","script":"nope"}`, ""},
+		{"unknown pass", "/v1/optimize", `{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n","passes":["XX"]}`, ""},
+		{"unknown format", "/v1/optimize", `{"netlist":"INPUT(a)","format":"blif"}`, ""},
+		{"empty batch", "/v1/optimize/batch", `{"jobs":[]}`, ""},
+		// Unknown fields are never ignored: the extraction overrides are
+		// gone (x-variants are selected by script name), and a typo must
+		// not quietly run the default script.
+		{"extract field", "/v1/optimize", `{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n","script":"resyn","extract":true}`, `"extract"`},
+		{"extract_objective field", "/v1/optimize/batch", `{"jobs":[{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n"}],"extract_objective":"depth"}`, `"extract_objective"`},
+		{"misspelled field", "/v1/optimize", `{"netlist":"INPUT(a)\nOUTPUT(o)\no = BUF(a)\n","scirpt":"resyn5"}`, `"scirpt"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -315,8 +323,12 @@ func TestBadRequests(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400", resp.StatusCode)
 			}
-			if out := decodeBody[errorResponse](t, resp); out.Error == "" {
+			out := decodeBody[errorResponse](t, resp)
+			if out.Error == "" {
 				t.Error("400 response has no JSON error body")
+			}
+			if !strings.Contains(out.Error, tc.want) {
+				t.Errorf("error %q does not name %s", out.Error, tc.want)
 			}
 		})
 	}
@@ -356,49 +368,59 @@ func TestSlotQueueTimeout(t *testing.T) {
 	}
 }
 
+// TestStreaming: a streamed request emits one "pass" event per executed
+// pass, each naming a pass the engine parses — the x-variants included,
+// which are selected by script name alone — and then one result.
 func TestStreaming(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
-	raw, _ := json.Marshal(OptimizeRequest{
-		Name:       "fa",
-		Netlist:    fullAdderBench,
-		ScriptSpec: ScriptSpec{Script: "quick"},
-		Stream:     true,
-	})
-	resp, err := http.Post(hs.URL+"/v1/optimize", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content-type = %q, want application/x-ndjson", ct)
-	}
-	var passes, results int
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var ev StreamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+	for _, script := range []string{"quick", "resyn-x"} {
+		raw, _ := json.Marshal(OptimizeRequest{
+			Name:       "fa",
+			Netlist:    fullAdderBench,
+			ScriptSpec: ScriptSpec{Script: script},
+			Stream:     true,
+		})
+		resp, err := http.Post(hs.URL+"/v1/optimize", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch ev.Event {
-		case "pass":
-			passes++
-			if ev.Pass == nil || ev.Job != "fa" {
-				t.Errorf("malformed pass event: %+v", ev)
-			}
-		case "result":
-			results++
-			if ev.Result == nil || ev.Result.Netlist == "" {
-				t.Errorf("malformed result event: %+v", ev)
-			}
-		case "error":
-			t.Errorf("unexpected error event: %+v", ev)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", script, resp.StatusCode)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if passes == 0 || results != 1 {
-		t.Errorf("got %d pass events and %d result events, want >=1 and 1", passes, results)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Fatalf("content-type = %q, want application/x-ndjson", ct)
+		}
+		var passes, results int
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var ev StreamEvent
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+			}
+			switch ev.Event {
+			case "pass":
+				passes++
+				if ev.Pass == nil || ev.Job != "fa" {
+					t.Errorf("malformed pass event: %+v", ev)
+				} else if _, ok := engine.PassByName(ev.Pass.Name); !ok {
+					t.Errorf("%s: streamed pass %q is not a pass name", script, ev.Pass.Name)
+				}
+			case "result":
+				results++
+				if ev.Result == nil || ev.Result.Netlist == "" {
+					t.Errorf("malformed result event: %+v", ev)
+				}
+			case "error":
+				t.Errorf("unexpected error event: %+v", ev)
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if passes == 0 || results != 1 {
+			t.Errorf("%s: got %d pass events and %d result events, want >=1 and 1", script, passes, results)
+		}
 	}
 }
 
