@@ -20,6 +20,7 @@
 //	migpipe -script resyn5 -cachefile npn.cache -synth-budget 2s
 //	migpipe -url http://localhost:8080 -script resyn  # optimize remotely over HTTP
 //	migpipe -script resyn5 -trace trace.json  # Chrome/Perfetto trace of the run
+//	migpipe -script resyn-x -cpuprofile cpu.pprof  # go tool pprof -tagfocus pass=TF5x …
 //	migpipe -scripts                          # list available scripts
 //
 // With a single job the -workers budget moves from the batch pool to the
@@ -54,6 +55,13 @@
 // taxonomy). Load the file in chrome://tracing or https://ui.perfetto.dev
 // to see where a slow run spent its time.
 //
+// -cpuprofile and -memprofile write pprof profiles of the run (starting
+// points, optimization and verification): a CPU profile, and a heap
+// profile taken at the end. CPU samples carry the engine's pprof labels
+// — circuit and preset per job, pass per pass — so
+// `go tool pprof -tagfocus pass=TF5x -top migpipe cpu.pprof` shows where
+// one pass spends its time.
+//
 // With -url the jobs are not optimized locally: they are serialized to
 // BENCH and submitted to a running migserve at that base URL via
 // POST /v1/optimize/batch, and the reported statistics are the server's.
@@ -78,6 +86,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -197,6 +206,8 @@ func main() {
 		synthTime  = flag.Duration("synth-budget", 0, "per-class wall-clock budget of 5-input exact synthesis (0 = none; trades determinism for latency)")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in chrome://tracing or Perfetto)")
 		outFile    = flag.String("out", "", "write the optimized graph of the single job to this file: BENCH for .bench, DOT for .dot, text otherwise")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof; samples carry circuit, preset and pass labels)")
+		memProfile = flag.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	flag.Parse()
 
@@ -214,6 +225,10 @@ func main() {
 	}
 	if *outFile != "" && *url != "" {
 		log.Fatal("-out needs a local run: remote results carry no graph")
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		log.Fatal(err)
 	}
 	jobs, err := buildJobs(*in, *split, *benchmarks, *prepare)
 	if err != nil {
@@ -356,6 +371,10 @@ func main() {
 		}
 	}
 
+	if err := stopProfiles(); err != nil {
+		log.Fatal(err)
+	}
+
 	// Remote runs report the requested worker count verbatim: the server
 	// clamps per-request workers to its own limit, so the local pool size
 	// never ran anywhere and reporting it would be misleading.
@@ -460,6 +479,44 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that ends the run's profiling: it stops the CPU profile and writes a
+// heap profile into memPath. Empty paths profile nothing. The profiled
+// span covers preparing the starting points, the run and verification.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the heap profile reports live data as of the last GC
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // writeGraph writes m to path: BENCH for a .bench suffix, DOT for .dot,

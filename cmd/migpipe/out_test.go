@@ -110,3 +110,23 @@ func TestOutNeedsOneJob(t *testing.T) {
 		t.Errorf("the batch ran before the usage error:\n%s", out)
 	}
 }
+
+// TestProfilesWritten: -cpuprofile and -memprofile each write a pprof
+// profile of the run, which is gzip-compressed protobuf.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if out, err := migpipe(t, "-script", "resyn", "-benchmarks", "Adder", "-workers", "1",
+		"-cpuprofile", cpu, "-memprofile", mem); err != nil {
+		t.Fatalf("profiled run: %v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes without the gzip magic, not a pprof profile", filepath.Base(path), len(b))
+		}
+	}
+}

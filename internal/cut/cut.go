@@ -123,46 +123,48 @@ func (c *Cut) subsetOf(d *Cut) bool {
 	return true
 }
 
-// merge3 computes the union of three sorted cuts, failing when it exceeds k.
-func merge3(a, b, c *Cut, k int) (Cut, bool) {
-	// Signature prefilter: every leaf contributes one bit, so more set
-	// bits than k means more than k distinct leaves. Collisions only
-	// under-count, so this never rejects a feasible merge, but it throws
-	// out the bulk of the |sa|·|sb|·|sc| infeasible combinations for the
-	// cost of one popcount instead of a three-way merge walk.
-	if bits.OnesCount64(a.Sig|b.Sig|c.Sig) > k {
-		return Cut{}, false
-	}
-	var out Cut
-	i, j, l := uint8(0), uint8(0), uint8(0)
-	for i < a.N || j < b.N || l < c.N {
-		best := mig.ID(^uint32(0))
-		if i < a.N && a.L[i] < best {
-			best = a.L[i]
+// merge2 writes the union of two sorted cuts to out, failing when it
+// exceeds k leaves. On success it sets out's leaves, N and Sig, zeroing
+// the leaf slots past N so equal cuts compare equal with ==; TT is left
+// as it was. On failure out is unspecified.
+func merge2(a, b *Cut, k int, out *Cut) bool {
+	i, j, n := 0, 0, 0
+	an, bn := int(a.N), int(b.N)
+	for i < an && j < bn {
+		if n >= k {
+			return false
 		}
-		if j < b.N && b.L[j] < best {
-			best = b.L[j]
-		}
-		if l < c.N && c.L[l] < best {
-			best = c.L[l]
-		}
-		if int(out.N) >= k {
-			return Cut{}, false
-		}
-		out.L[out.N] = best
-		out.N++
-		if i < a.N && a.L[i] == best {
+		x, y := a.L[i], b.L[j]
+		switch {
+		case x < y:
 			i++
-		}
-		if j < b.N && b.L[j] == best {
+		case y < x:
+			x = y
+			j++
+		default:
+			i++
 			j++
 		}
-		if l < c.N && c.L[l] == best {
-			l++
-		}
+		out.L[n] = x
+		n++
 	}
-	out.Sig = a.Sig | b.Sig | c.Sig
-	return out, true
+	if n+an-i+bn-j > k {
+		return false
+	}
+	for ; i < an; i++ {
+		out.L[n] = a.L[i]
+		n++
+	}
+	for ; j < bn; j++ {
+		out.L[n] = b.L[j]
+		n++
+	}
+	out.N = uint8(n)
+	for ; n < MaxK; n++ {
+		out.L[n] = 0
+	}
+	out.Sig = a.Sig | b.Sig
+	return true
 }
 
 // Options configures the enumeration.
@@ -223,7 +225,7 @@ func (w *Workspace) Enumerate(m *mig.MIG, opts Options) [][]Cut {
 	sets := w.sets[:n]
 	// slot hands out node i's fixed-capacity arena window; appends beyond
 	// per would reallocate out of the arena, which the cap in
-	// addIrredundant rules out.
+	// insert rules out.
 	slot := func(i int) []Cut { return w.arena[i*per : i*per : (i+1)*per] }
 	withTT := opts.K <= 5
 	sets[0] = append(slot(0), Cut{}) // constant node: the empty cut
@@ -246,18 +248,33 @@ func (w *Workspace) Enumerate(m *mig.MIG, opts Options) [][]Cut {
 // mergeSets computes the saturating union of the three child cut sets with
 // irredundancy filtering and capping, then appends the trivial cut. out
 // must be empty with capacity for MaxCuts+1 cuts.
+//
+// The triples are visited in (a, b, c) order, but a∪b is built once per
+// pair and the whole c loop is skipped when it already exceeds K. Every
+// leaf sets one signature bit and collisions only under-count, so a
+// popcount above K proves the merge infeasible before any leaf is walked.
+// The truth table is computed only for cuts that survive the dominance
+// check. Only merges that would fail are skipped, so the sets equal those
+// of the plain triple loop, order included.
 func mergeSets(out []Cut, sa, sb, sc []Cut, f [3]mig.Lit, root mig.ID, opts Options, withTT bool) []Cut {
+	k := opts.K
+	var ab, abc Cut
 	for ia := range sa {
+		a := &sa[ia]
 		for ib := range sb {
+			b := &sb[ib]
+			if bits.OnesCount64(a.Sig|b.Sig) > k || !merge2(a, b, k, &ab) {
+				continue
+			}
 			for ic := range sc {
-				c, ok := merge3(&sa[ia], &sb[ib], &sc[ic], opts.K)
-				if !ok {
+				c := &sc[ic]
+				if bits.OnesCount64(ab.Sig|c.Sig) > k || !merge2(&ab, c, k, &abc) || dominated(out, &abc) {
 					continue
 				}
 				if withTT {
-					c.TT = mergedTT(f, &sa[ia], &sb[ib], &sc[ic], &c)
+					abc.TT = mergedTT(f, a, b, c, &abc)
 				}
-				out = addIrredundant(out, c, opts.MaxCuts)
+				out = insert(out, &abc, opts.MaxCuts)
 			}
 		}
 	}
@@ -269,15 +286,20 @@ func mergeSets(out []Cut, sa, sb, sc []Cut, f [3]mig.Lit, root mig.ID, opts Opti
 	return out
 }
 
-// addIrredundant inserts c into set unless it is dominated by an existing
-// cut; cuts dominated by c are removed. The set is capped at maxCuts,
-// preferring cuts with fewer leaves.
-func addIrredundant(set []Cut, c Cut, maxCuts int) []Cut {
+// dominated reports whether some cut of set is contained in c.
+func dominated(set []Cut, c *Cut) bool {
 	for i := range set {
-		if set[i].subsetOf(&c) {
-			return set // dominated: an existing cut is contained in c
+		if set[i].subsetOf(c) {
+			return true
 		}
 	}
+	return false
+}
+
+// insert adds a cut that no cut of set dominates: cuts dominated by c are
+// removed, and the set is capped at maxCuts, preferring cuts with fewer
+// leaves.
+func insert(set []Cut, c *Cut, maxCuts int) []Cut {
 	n := 0
 	for i := range set {
 		if !c.subsetOf(&set[i]) {
@@ -295,7 +317,7 @@ func addIrredundant(set []Cut, c Cut, maxCuts int) []Cut {
 		}
 		set = append(set, Cut{})
 		copy(set[pos+1:], set[pos:])
-		set[pos] = c
+		set[pos] = *c
 		return set
 	}
 	// Set full: replace the widest cut if c is narrower.
@@ -305,7 +327,7 @@ func addIrredundant(set []Cut, c Cut, maxCuts int) []Cut {
 			pos--
 		}
 		copy(set[pos+1:], set[pos:len(set)-1])
-		set[pos] = c
+		set[pos] = *c
 	}
 	return set
 }

@@ -1,9 +1,12 @@
 package cut
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
+	"mighash/internal/circuits"
+	"mighash/internal/depthopt"
 	"mighash/internal/mig"
 )
 
@@ -268,6 +271,8 @@ func TestWiderK(t *testing.T) {
 	}
 }
 
+// TestMerge3Saturation checks that both the kernel's two-way merge and
+// the reference three-way merge fail past k and are idempotent.
 func TestMerge3Saturation(t *testing.T) {
 	a := Cut{N: 3, L: [MaxK]mig.ID{1, 2, 3}}
 	b := Cut{N: 3, L: [MaxK]mig.ID{4, 5, 6}}
@@ -277,6 +282,17 @@ func TestMerge3Saturation(t *testing.T) {
 	}
 	if got, ok := merge3(&a, &a, &c, 4); !ok || got.N != 3 {
 		t.Errorf("idempotent merge broken: %v %v", got, ok)
+	}
+	var got Cut
+	if merge2(&a, &b, 4, &got) {
+		t.Error("two-way merge exceeding k must fail")
+	}
+	if !merge2(&a, &b, 6, &got) || got.String() != "{1 2 3 4 5 6}" {
+		t.Errorf("two-way merge at k = 6: %v", got.String())
+	}
+	got.L = [MaxK]mig.ID{9, 9, 9, 9, 9, 9}
+	if !merge2(&a, &a, 4, &got) || got != (Cut{N: 3, L: [MaxK]mig.ID{1, 2, 3}}) {
+		t.Errorf("idempotent two-way merge broken or stale leaf slots kept: %+v", got)
 	}
 }
 
@@ -298,6 +314,160 @@ func TestSubsetOf(t *testing.T) {
 	e := mk()
 	if !e.subsetOf(&a) {
 		t.Error("empty cut must be subset of everything")
+	}
+}
+
+// merge3 is the reference three-way union of the plain triple loop that
+// mergeSets replaced; it fails when the union exceeds k.
+func merge3(a, b, c *Cut, k int) (Cut, bool) {
+	if bits.OnesCount64(a.Sig|b.Sig|c.Sig) > k {
+		return Cut{}, false
+	}
+	var out Cut
+	i, j, l := uint8(0), uint8(0), uint8(0)
+	for i < a.N || j < b.N || l < c.N {
+		best := mig.ID(^uint32(0))
+		if i < a.N && a.L[i] < best {
+			best = a.L[i]
+		}
+		if j < b.N && b.L[j] < best {
+			best = b.L[j]
+		}
+		if l < c.N && c.L[l] < best {
+			best = c.L[l]
+		}
+		if int(out.N) >= k {
+			return Cut{}, false
+		}
+		out.L[out.N] = best
+		out.N++
+		if i < a.N && a.L[i] == best {
+			i++
+		}
+		if j < b.N && b.L[j] == best {
+			j++
+		}
+		if l < c.N && c.L[l] == best {
+			l++
+		}
+	}
+	out.Sig = a.Sig | b.Sig | c.Sig
+	return out, true
+}
+
+// addIrredundant is the reference insertion: c is dropped when an
+// existing cut dominates it, else the cuts it dominates are removed and
+// it is inserted by leaf count under the maxCuts cap.
+func addIrredundant(set []Cut, c Cut, maxCuts int) []Cut {
+	for i := range set {
+		if set[i].subsetOf(&c) {
+			return set
+		}
+	}
+	n := 0
+	for i := range set {
+		if !c.subsetOf(&set[i]) {
+			set[n] = set[i]
+			n++
+		}
+	}
+	set = set[:n]
+	if len(set) < maxCuts {
+		pos := len(set)
+		for pos > 0 && set[pos-1].N > c.N {
+			pos--
+		}
+		set = append(set, Cut{})
+		copy(set[pos+1:], set[pos:])
+		set[pos] = c
+		return set
+	}
+	if set[len(set)-1].N > c.N {
+		pos := len(set) - 1
+		for pos > 0 && set[pos-1].N > c.N {
+			pos--
+		}
+		copy(set[pos+1:], set[pos:len(set)-1])
+		set[pos] = c
+	}
+	return set
+}
+
+// refEnumerate is the plain triple-loop enumeration: every child-cut
+// triple is merged with merge3, its truth table computed, and the result
+// offered to addIrredundant.
+func refEnumerate(m *mig.MIG, opts Options) [][]Cut {
+	opts = opts.withDefaults()
+	withTT := opts.K <= 5
+	sets := make([][]Cut, m.NumNodes())
+	sets[0] = []Cut{{}}
+	for i := 0; i < m.NumPIs(); i++ {
+		id := m.Input(i).ID()
+		c := Cut{Sig: sigOf(id), N: 1, L: [MaxK]mig.ID{id}}
+		if withTT {
+			c.TT = ttVar0
+		}
+		sets[id] = []Cut{c}
+	}
+	for id := m.NumPIs() + 1; id < m.NumNodes(); id++ {
+		f := m.Fanin(mig.ID(id))
+		sa, sb, sc := sets[f[0].ID()], sets[f[1].ID()], sets[f[2].ID()]
+		var out []Cut
+		for ia := range sa {
+			for ib := range sb {
+				for ic := range sc {
+					c, ok := merge3(&sa[ia], &sb[ib], &sc[ic], opts.K)
+					if !ok {
+						continue
+					}
+					if withTT {
+						c.TT = mergedTT(f, &sa[ia], &sb[ib], &sc[ic], &c)
+					}
+					out = addIrredundant(out, c, opts.MaxCuts)
+				}
+			}
+		}
+		triv := Cut{Sig: sigOf(mig.ID(id)), N: 1, L: [MaxK]mig.ID{mig.ID(id)}}
+		if withTT {
+			triv.TT = ttVar0
+		}
+		sets[id] = append(out, triv)
+	}
+	return sets
+}
+
+// TestEnumerateMatchesTripleLoop is the differential test of the merge
+// kernel: on random MIGs large enough that signature bits alias (node IDs
+// past 64 share bits), Workspace.Enumerate must return exactly the
+// reference triple loop's sets — leaves, Sig, TT and order — at every
+// cut width and cap the rewriters and the mapper use.
+func TestEnumerateMatchesTripleLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	w := NewWorkspace()
+	for trial := 0; trial < 40; trial++ {
+		m := randomMIG(rng, 4+rng.Intn(5), 80+rng.Intn(200))
+		for _, k := range []int{3, 4, 5, 6} {
+			for _, maxCuts := range []int{4, 12, 24} {
+				opts := Options{K: k, MaxCuts: maxCuts}
+				want := refEnumerate(m, opts)
+				got := w.Enumerate(m, opts)
+				if len(got) != len(want) {
+					t.Fatalf("trial %d k=%d cap=%d: %d sets, want %d", trial, k, maxCuts, len(got), len(want))
+				}
+				for id := range want {
+					if len(got[id]) != len(want[id]) {
+						t.Fatalf("trial %d k=%d cap=%d node %d: %d cuts, want %d",
+							trial, k, maxCuts, id, len(got[id]), len(want[id]))
+					}
+					for i := range want[id] {
+						if got[id][i] != want[id][i] {
+							t.Fatalf("trial %d k=%d cap=%d node %d cut %d: %+v, want %+v",
+								trial, k, maxCuts, id, i, got[id][i], want[id][i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -362,5 +532,36 @@ func BenchmarkEnumerate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Enumerate(m, Options{K: 4, MaxCuts: 12})
+	}
+}
+
+// BenchmarkEnumeratePrepared enumerates a depth-prepared suite circuit
+// (Max after the depthopt starting-point pass migpipe applies) at the
+// settings of the three consumers: K = 4 rewriting, K = 5 rewriting (the
+// TF5x pass) and the K = 6 LUT mapper. Deep, reconvergent prepared logic
+// fills the cut sets, which is where the merge kernel spends its time.
+func BenchmarkEnumeratePrepared(b *testing.B) {
+	spec, ok := circuits.ByName("Max")
+	if !ok {
+		b.Fatal("Max benchmark missing")
+	}
+	m, _ := depthopt.Optimize(spec.Build(), depthopt.Options{SizeFactor: 8, MaxPasses: 40})
+	for _, bc := range []struct {
+		name string
+		opts Options
+	}{
+		{"K4cap24", Options{K: 4, MaxCuts: 24}},
+		{"K5cap24", Options{K: 5, MaxCuts: 24}},
+		{"K6cap8", Options{K: 6, MaxCuts: 8}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := NewWorkspace()
+			w.Enumerate(m, bc.opts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Enumerate(m, bc.opts)
+			}
+		})
 	}
 }

@@ -21,8 +21,15 @@
 // (expanded to 5 variables; the low 16 bits are the 4-variable table for
 // narrow cuts), computed incrementally from the child cuts' tables during
 // the merge — so the rewriter (internal/rewrite) hands Cut.TT straight to
-// NPN canonicalization and no cone is ever re-simulated. A popcount signature
-// prefilter rejects infeasible merges before any set operation runs.
+// NPN canonicalization and no cone is ever re-simulated.
+//
+// The merge kernel prunes at the pair level: a∪b is built once per pair
+// of child cuts, and the loop over the third child's cuts is skipped
+// outright when a popcount of the two leaf signatures already exceeds K.
+// The truth table is deferred until a merged cut has passed the dominance
+// check. The result is exactly that of the plain triple loop — the same
+// cuts in the same order — because only merges that would fail are
+// skipped.
 //
 // Concurrency contract: enumeration only reads the MIG, so any number of
 // enumerations over one frozen graph may run in parallel — provided each

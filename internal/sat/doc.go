@@ -7,7 +7,8 @@
 // the resulting formulas. The design follows the classic MiniSat recipe:
 // two-watched-literal propagation, first-UIP conflict analysis with
 // recursive clause minimization, VSIDS variable activities with phase
-// saving, Luby restarts, and activity/LBD-based learnt-clause deletion.
+// saving, Luby restarts, and activity/LBD-based learnt-clause deletion
+// that compacts deleted clauses out of the database.
 //
 // Role in the functional-hashing flow: the solver is an offline substrate.
 // It powers exact synthesis (internal/exact) when the minimum-MIG database

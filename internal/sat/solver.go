@@ -71,11 +71,10 @@ const (
 )
 
 type clause struct {
-	lits    []Lit
-	act     float64
-	lbd     int32
-	learnt  bool
-	deleted bool
+	lits   []Lit
+	act    float64
+	lbd    int32
+	learnt bool
 }
 
 type watcher struct {
@@ -113,9 +112,14 @@ type Solver struct {
 	seen     []byte
 	analyzeT []Lit // scratch for minimization
 
-	ok          bool   // false once an empty clause is derived
-	model       []int8 // assignment snapshot of the last Sat result
-	firstLearnt int    // index of first learnt clause in clauses
+	ok    bool   // false once an empty clause is derived
+	model []int8 // assignment snapshot of the last Sat result
+
+	// learnts counts the learnt clauses in clauses. added counts every
+	// clause ever pushed, including those reduceDB has since removed;
+	// Solve sizes the learnt-clause budget from it.
+	learnts int
+	added   int
 
 	claInc      float64
 	maxLearnts  float64
@@ -131,11 +135,10 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver {
 	return &Solver{
-		ok:          true,
-		varInc:      1,
-		claInc:      1,
-		firstLearnt: -1,
-		heap:        newVarHeap(),
+		ok:     true,
+		varInc: 1,
+		claInc: 1,
+		heap:   newVarHeap(),
 	}
 }
 
@@ -143,15 +146,7 @@ func New() *Solver {
 func (s *Solver) NumVars() int { return len(s.assign) }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
-func (s *Solver) NumClauses() int {
-	n := 0
-	for i := range s.clauses {
-		if !s.clauses[i].learnt && !s.clauses[i].deleted {
-			n++
-		}
-	}
-	return n
-}
+func (s *Solver) NumClauses() int { return len(s.clauses) - s.learnts }
 
 // NewVar creates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
@@ -240,7 +235,9 @@ func (s *Solver) pushClause(lits []Lit, learnt bool) int32 {
 	c := clause{lits: append([]Lit(nil), lits...), learnt: learnt, act: s.claInc}
 	cref := int32(len(s.clauses))
 	s.clauses = append(s.clauses, c)
+	s.added++
 	if learnt {
+		s.learnts++
 		s.Stats.Learnt++
 	}
 	return cref
@@ -284,9 +281,6 @@ func (s *Solver) propagate() int32 {
 				continue
 			}
 			c := &s.clauses[w.cref]
-			if c.deleted {
-				continue
-			}
 			// Ensure the false literal is at position 1.
 			if c.lits[0] == p.Not() {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
@@ -482,6 +476,11 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 	return int32(len(levels))
 }
 
+// reduceDB deletes about half of the removable learnt clauses, the
+// highest-LBD and least active first, and compacts the clause database:
+// survivors keep their relative order, so later reductions sort the same
+// candidates in the same order, and every watcher and trail reason is
+// renumbered to the survivor's new index.
 func (s *Solver) reduceDB() {
 	// Collect learnt clauses that are not reasons for current assignments.
 	locked := make(map[int32]bool)
@@ -493,7 +492,7 @@ func (s *Solver) reduceDB() {
 	var learnts []int32
 	for i := range s.clauses {
 		c := &s.clauses[i]
-		if c.learnt && !c.deleted && !locked[int32(i)] && len(c.lits) > 2 {
+		if c.learnt && !locked[int32(i)] && len(c.lits) > 2 {
 			learnts = append(learnts, int32(i))
 		}
 	}
@@ -504,23 +503,40 @@ func (s *Solver) reduceDB() {
 		}
 		return ca.act < cb.act
 	})
+	// remap[i] is clause i's index after compaction, -1 once deleted.
+	remap := make([]int32, len(s.clauses))
 	for _, cref := range learnts[:len(learnts)/2] {
-		if s.clauses[cref].lbd <= 2 {
+		if s.clauses[cref].lbd > 2 {
+			remap[cref] = -1
+		}
+	}
+	n := int32(0)
+	for i := range s.clauses {
+		if remap[i] < 0 {
+			s.learnts--
 			continue
 		}
-		s.clauses[cref].deleted = true
+		remap[i] = n
+		s.clauses[n] = s.clauses[i]
+		n++
 	}
-	// Purge deleted clauses from the watch lists.
+	clear(s.clauses[n:]) // drop the deleted clauses' literal slices
+	s.clauses = s.clauses[:n]
 	for li := range s.watches {
 		ws := s.watches[li]
-		n := 0
+		k := 0
 		for _, w := range ws {
-			if !s.clauses[w.cref].deleted {
-				ws[n] = w
-				n++
+			if r := remap[w.cref]; r >= 0 {
+				ws[k] = watcher{r, w.blocker}
+				k++
 			}
 		}
-		s.watches[li] = ws[:n]
+		s.watches[li] = ws[:k]
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r >= 0 {
+			s.reason[l.Var()] = remap[r]
+		}
 	}
 }
 
@@ -552,7 +568,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		s.ok = false
 		return Unsat
 	}
-	s.maxLearnts = float64(len(s.clauses))/3 + 1000
+	s.maxLearnts = float64(s.added)/3 + 1000
 	s.lubyIdx = 0
 	conflictsAtStart := s.Stats.Conflicts
 
@@ -607,7 +623,7 @@ func (s *Solver) search(budget int64, assumptions []Lit) Status {
 			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999
-			if float64(s.countLearnts()) > s.maxLearnts {
+			if float64(s.learnts) > s.maxLearnts {
 				s.maxLearnts *= 1.3
 				s.reduceDB()
 			}
@@ -650,16 +666,6 @@ func (s *Solver) search(budget int64, assumptions []Lit) Status {
 		s.newDecisionLevel()
 		s.enqueue(next, -1)
 	}
-}
-
-func (s *Solver) countLearnts() int {
-	n := 0
-	for i := range s.clauses {
-		if s.clauses[i].learnt && !s.clauses[i].deleted {
-			n++
-		}
-	}
-	return n
 }
 
 func (s *Solver) pickBranchVar() int {

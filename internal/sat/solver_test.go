@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -345,6 +346,96 @@ func TestStatsPopulated(t *testing.T) {
 	s.Solve()
 	if s.Stats.Conflicts == 0 || s.Stats.Propagations == 0 {
 		t.Errorf("stats not collected: %+v", s.Stats)
+	}
+}
+
+// randomCNFSession builds a seeded random 3-SAT instance near the
+// satisfiability threshold and runs an incremental session on it: a plain
+// Solve, two Solves under assumptions, and a final Solve after a clause
+// is added between calls. each runs after every Solve.
+func randomCNFSession(seed int64, each func(s *Solver, st Status)) *Solver {
+	rng := rand.New(rand.NewSource(seed))
+	nVars := 140 + rng.Intn(60)
+	nCls := nVars * 418 / 100
+	s := New()
+	for v := 0; v < nVars; v++ {
+		s.NewVar()
+	}
+	for i := 0; i < nCls; i++ {
+		s.AddClause(MkLit(rng.Intn(nVars), rng.Intn(2) == 1),
+			MkLit(rng.Intn(nVars), rng.Intn(2) == 1),
+			MkLit(rng.Intn(nVars), rng.Intn(2) == 1))
+	}
+	each(s, s.Solve())
+	for r := 0; r < 2; r++ {
+		each(s, s.Solve(MkLit(rng.Intn(nVars), rng.Intn(2) == 1), MkLit(rng.Intn(nVars), rng.Intn(2) == 1)))
+	}
+	s.AddClause(MkLit(rng.Intn(nVars), rng.Intn(2) == 1), MkLit(rng.Intn(nVars), rng.Intn(2) == 1))
+	each(s, s.Solve())
+	return s
+}
+
+// TestLearntCounterMatchesRecount checks the learnt-clause counter and
+// the compacted database after every Solve of the incremental sessions:
+// the counter equals a recount of the learnt clauses, and every watcher
+// and trail reason refers to a clause that is still there.
+func TestLearntCounterMatchesRecount(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		randomCNFSession(seed, func(s *Solver, st Status) {
+			n := 0
+			for i := range s.clauses {
+				if s.clauses[i].learnt {
+					n++
+				}
+			}
+			if s.learnts != n {
+				t.Errorf("seed %d after %v: learnt counter %d, recount %d", seed, st, s.learnts, n)
+			}
+			for li, ws := range s.watches {
+				for _, w := range ws {
+					c := &s.clauses[w.cref]
+					if c.lits[0].Not() != Lit(li) && c.lits[1].Not() != Lit(li) {
+						t.Fatalf("seed %d: watcher of %v points at clause %v, which does not watch it", seed, Lit(li).Not(), c.lits)
+					}
+				}
+			}
+			for _, l := range s.trail {
+				if r := s.reason[l.Var()]; r >= 0 && !slices.Contains(s.clauses[r].lits, l) {
+					t.Fatalf("seed %d: reason of %v is clause %v", seed, l, s.clauses[r].lits)
+				}
+			}
+		})
+	}
+}
+
+// TestRandomCNFStatsPinned pins the search itself: the counters of each
+// incremental session are exact values recorded before reduceDB compacted
+// the clause database, so removing deleted clauses (and counting learnt
+// clauses instead of scanning for them) provably left every decision,
+// propagation and conflict where it was.
+func TestRandomCNFStatsPinned(t *testing.T) {
+	want := []struct {
+		seed   int64
+		status []Status
+		stats  Stats
+	}{
+		{1, []Status{Unsat, Unsat, Unsat, Unsat}, Stats{Conflicts: 4910, Decisions: 5880, Propagations: 179221, Restarts: 25, Learnt: 4900}},
+		{2, []Status{Sat, Sat, Unsat, Sat}, Stats{Conflicts: 6479, Decisions: 7930, Propagations: 242140, Restarts: 33, Learnt: 6479}},
+		{3, []Status{Sat, Unsat, Unsat, Sat}, Stats{Conflicts: 5438, Decisions: 6661, Propagations: 191392, Restarts: 35, Learnt: 5435}},
+		{4, []Status{Unsat, Unsat, Unsat, Unsat}, Stats{Conflicts: 12858, Decisions: 15465, Propagations: 472637, Restarts: 56, Learnt: 12848}},
+		{5, []Status{Unsat, Unsat, Unsat, Unsat}, Stats{Conflicts: 2122, Decisions: 2591, Propagations: 65699, Restarts: 13, Learnt: 2114}},
+		{6, []Status{Unsat, Unsat, Unsat, Unsat}, Stats{Conflicts: 3630, Decisions: 4399, Propagations: 131513, Restarts: 18, Learnt: 3623}},
+		{7, []Status{Sat, Sat, Sat, Sat}, Stats{Conflicts: 1398, Decisions: 1854, Propagations: 47788, Restarts: 8, Learnt: 1398}},
+		{8, []Status{Sat, Unsat, Sat, Sat}, Stats{Conflicts: 7772, Decisions: 9385, Propagations: 277347, Restarts: 41, Learnt: 7772}},
+		{9, []Status{Sat, Sat, Sat, Sat}, Stats{Conflicts: 3681, Decisions: 4701, Propagations: 140999, Restarts: 22, Learnt: 3681}},
+		{10, []Status{Unsat, Unsat, Unsat, Unsat}, Stats{Conflicts: 2110, Decisions: 2504, Propagations: 68200, Restarts: 13, Learnt: 2104}},
+	}
+	for _, w := range want {
+		var got []Status
+		s := randomCNFSession(w.seed, func(_ *Solver, st Status) { got = append(got, st) })
+		if !slices.Equal(got, w.status) || s.Stats != w.stats {
+			t.Errorf("seed %d: %v %+v, want %v %+v", w.seed, got, s.Stats, w.status, w.stats)
+		}
 	}
 }
 
